@@ -6,41 +6,22 @@ grid sums; each grid sum runs over a product of "pieces", where a piece
 is either a derivative of one of the two state fields or a precomputed
 constant grid array (bound named functions, anchored delta columns).
 
-Two implementations are provided for the hot paths (functional value,
-finite-difference gradient): numba ``@njit`` kernels and pure-numpy
-twins.  The active path is chosen at import time from the
-``HAMALG_NO_NUMBA`` environment variable; both remain importable so the
-benchmark and the equivalence tests can compare them directly.
+The value is that sum of products, and the gradient in state space is
+its exact reverse-mode derivative: every field piece receives the
+product of the rest of its term as a cotangent, and the transposed
+stencil carries the cotangents back to the state.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-_USE_NUMBA = os.environ.get("HAMALG_NO_NUMBA", "") != "1"
-
-if _USE_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover
-        _USE_NUMBA = False
-
-if not _USE_NUMBA:
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(f):
-            return f
-
-        return wrap
-
 
 def active_path() -> str:
-    return "numba" if _USE_NUMBA else "numpy"
+    """Name of the evaluation path; plain numpy is the only one."""
+    return "numpy"
 
 
 def stencil_weights(kmax: int, delta: float) -> np.ndarray:
@@ -132,126 +113,10 @@ def make_bank(n, delta, terms, cbank, kmax):
     )
 
 
-# ---------------------------------------------------------------- numba path
+# ---------------------------------------------------------------- evaluation
 
 
-@njit(cache=True)
-def _piece_values_jit(phi, pi, p_kind, p_order, p_row, cbank, w):
-    npc = p_kind.shape[0]
-    n = phi.shape[0]
-    kmax = (w.shape[1] - 1) // 2
-    pv = np.empty((npc, n))
-    for p in range(npc):
-        kind = p_kind[p]
-        if kind == 2:
-            for i in range(n):
-                pv[p, i] = cbank[p_row[p], i]
-        else:
-            k = p_order[p]
-            f = phi if kind == 0 else pi
-            for i in range(n):
-                acc = 0.0
-                for j in range(-k, k + 1):
-                    acc += w[k, kmax + j] * f[(i + j) % n]
-                pv[p, i] = acc
-    return pv
-
-
-@njit(cache=True)
-def _value_jit(phi, pi, delta, scal, t_gstart, g_pstart, p_kind, p_order, p_row, cbank, w):
-    pv = _piece_values_jit(phi, pi, p_kind, p_order, p_row, cbank, w)
-    n = phi.shape[0]
-    total = 0.0
-    for t in range(scal.shape[0]):
-        term = scal[t]
-        for g in range(t_gstart[t], t_gstart[t + 1]):
-            s = 0.0
-            for i in range(n):
-                prod = 1.0
-                for p in range(g_pstart[g], g_pstart[g + 1]):
-                    prod *= pv[p, i]
-                s += prod
-            term *= delta * s
-        total += term
-    return total
-
-
-@njit(cache=True)
-def _gradient_jit(phi, pi, delta, eps_rel, scal, t_gstart, g_pstart, p_kind, p_order, p_row, cbank, w):
-    # central differences of the exact perturbed value: perturbing one
-    # state entry only changes grid sums within the stencil window, so
-    # F(state +/- eps e_s) is rebuilt from the base group sums plus a
-    # windowed correction.
-    pv = _piece_values_jit(phi, pi, p_kind, p_order, p_row, cbank, w)
-    n = phi.shape[0]
-    nt = scal.shape[0]
-    ng = g_pstart.shape[0] - 1
-    kmax = (w.shape[1] - 1) // 2
-
-    gsum = np.empty(ng)
-    for g in range(ng):
-        s = 0.0
-        for i in range(n):
-            prod = 1.0
-            for p in range(g_pstart[g], g_pstart[g + 1]):
-                prod *= pv[p, i]
-            s += prod
-        gsum[g] = delta * s
-
-    touches = np.zeros((2, ng), dtype=np.bool_)
-    for g in range(ng):
-        for p in range(g_pstart[g], g_pstart[g + 1]):
-            if p_kind[p] < 2:
-                touches[p_kind[p], g] = True
-
-    out = np.zeros((2, n))
-    for field in range(2):
-        state = phi if field == 0 else pi
-        for s in range(n):
-            mag = abs(state[s])
-            eps = eps_rel * (mag if mag > 1.0 else 1.0)
-            fp = 0.0
-            fm = 0.0
-            for t in range(nt):
-                prodp = scal[t]
-                prodm = scal[t]
-                for g in range(t_gstart[t], t_gstart[t + 1]):
-                    if not touches[field, g]:
-                        prodp *= gsum[g]
-                        prodm *= gsum[g]
-                        continue
-                    corrp = 0.0
-                    corrm = 0.0
-                    for d in range(-kmax, kmax + 1):
-                        i = (s + d) % n
-                        pp = 1.0
-                        pm = 1.0
-                        pb = 1.0
-                        for p in range(g_pstart[g], g_pstart[g + 1]):
-                            base = pv[p, i]
-                            if p_kind[p] == field:
-                                cw = w[p_order[p], kmax - d]
-                                pp *= base + eps * cw
-                                pm *= base - eps * cw
-                            else:
-                                pp *= base
-                                pm *= base
-                            pb *= base
-                        corrp += pp - pb
-                        corrm += pm - pb
-                    prodp *= gsum[g] + delta * corrp
-                    prodm *= gsum[g] + delta * corrm
-                fp += prodp
-                fm += prodm
-            out[field, s] = (fp - fm) / (2.0 * eps)
-    return out
-
-
-# ---------------------------------------------------------------- numpy path
-
-
-def _piece_values_np(bank: TermBank, phi: np.ndarray, pi: np.ndarray) -> list[np.ndarray]:
-    # phi, pi may carry leading batch axes; pieces broadcast over them
+def _piece_values(bank: TermBank, phi: np.ndarray, pi: np.ndarray) -> list[np.ndarray]:
     kmax = bank.kmax
     vals = []
     for p in range(len(bank.p_kind)):
@@ -267,78 +132,77 @@ def _piece_values_np(bank: TermBank, phi: np.ndarray, pi: np.ndarray) -> list[np
                 continue
             cw = bank.w[k, kmax + j]
             if cw != 0.0:
-                acc = acc + cw * np.roll(f, -j, axis=-1)
+                acc = acc + cw * np.roll(f, -j)
         vals.append(acc)
     return vals
 
 
-def _value_numpy(bank: TermBank, phi: np.ndarray, pi: np.ndarray):
-    pv = _piece_values_np(bank, phi, pi)
-    batch = np.broadcast(phi[..., 0], pi[..., 0]).shape
-    total = np.zeros(batch)
-    for t in range(bank.n_terms):
-        term = np.full(batch, bank.scal[t])
-        for g in range(bank.t_gstart[t], bank.t_gstart[t + 1]):
-            lo, hi = bank.g_pstart[g], bank.g_pstart[g + 1]
-            if hi == lo:
-                term = term * (bank.delta * bank.n)
-                continue
-            prod = pv[lo]
-            for p in range(lo + 1, hi):
-                prod = prod * pv[p]
-            term = term * (bank.delta * prod.sum(axis=-1))
-        total = total + term
-    return total if batch else float(total)
+def _group_sums(bank: TermBank, pv: list[np.ndarray]) -> list[float]:
+    # Delta * sum_i prod_p pv[p, i] per group; an empty group is the volume
+    sums = []
+    for g in range(len(bank.g_pstart) - 1):
+        lo, hi = bank.g_pstart[g], bank.g_pstart[g + 1]
+        if hi == lo:
+            sums.append(bank.delta * bank.n)
+            continue
+        prod = pv[lo]
+        for p in range(lo + 1, hi):
+            prod = prod * pv[p]
+        sums.append(bank.delta * prod.sum())
+    return sums
 
 
-def _gradient_numpy(bank: TermBank, phi: np.ndarray, pi: np.ndarray, eps_rel: float):
-    # brute-force central differences, vectorized by evaluating the
-    # functional on a batch of singly-perturbed states
-    n = bank.n
-    eye = np.eye(n)
-    out = np.zeros((2, n))
-    for field, state in ((0, phi), (1, pi)):
-        eps = eps_rel * np.maximum(1.0, np.abs(state))
-        plus = state[None, :] + eps[:, None] * eye
-        minus = state[None, :] - eps[:, None] * eye
-        if field == 0:
-            fp = _value_numpy(bank, plus, pi[None, :])
-            fm = _value_numpy(bank, minus, pi[None, :])
-        else:
-            fp = _value_numpy(bank, phi[None, :], plus)
-            fm = _value_numpy(bank, phi[None, :], minus)
-        out[field] = (fp - fm) / (2.0 * eps)
-    return out
-
-
-# ---------------------------------------------------------------- dispatch
-
-
-def functional_value(bank: TermBank, phi: np.ndarray, pi: np.ndarray, path: str | None = None) -> float:
+def functional_value(bank: TermBank, phi: np.ndarray, pi: np.ndarray) -> float:
     phi = np.ascontiguousarray(phi, dtype=np.float64)
     pi = np.ascontiguousarray(pi, dtype=np.float64)
-    use = active_path() if path is None else path
-    if use == "numba" and _USE_NUMBA:
-        return float(_value_jit(phi, pi, bank.delta, bank.scal, bank.t_gstart,
-                                bank.g_pstart, bank.p_kind, bank.p_order,
-                                bank.p_row, bank.cbank, bank.w))
-    return float(_value_numpy(bank, phi, pi))
+    gsum = _group_sums(bank, _piece_values(bank, phi, pi))
+    total = 0.0
+    for t in range(bank.n_terms):
+        term = bank.scal[t]
+        for g in range(bank.t_gstart[t], bank.t_gstart[t + 1]):
+            term = term * gsum[g]
+        total = total + term
+    return float(total)
 
 
-def functional_gradient(bank: TermBank, phi: np.ndarray, pi: np.ndarray,
-                        eps_rel: float = 1e-5, path: str | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Central-difference gradient of the functional in state space.
+def functional_gradient(bank: TermBank, phi: np.ndarray, pi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact gradient of the discretized functional in state space.
 
-    The step for entry i is eps_rel * max(1, |state_i|).  Returns the
-    pair (dF/dphi, dF/dpi) as arrays of length n.
+    Reverse mode through the sum of stencil products.  The cotangent of a
+    field piece is the term scalar times the grid sums of the term's other
+    dummies times Delta times the product of the other pieces of its
+    group, built by multiplication only because a piece may vanish.
+    Cotangents are collected per (field, order) and pulled back once
+    through the transposed stencil, sum_j w[k, kmax+j] roll(c, j).
+    Returns the pair (dF/dphi, dF/dpi) as arrays of length n.
     """
     phi = np.ascontiguousarray(phi, dtype=np.float64)
     pi = np.ascontiguousarray(pi, dtype=np.float64)
-    use = active_path() if path is None else path
-    if use == "numba" and _USE_NUMBA:
-        g = _gradient_jit(phi, pi, bank.delta, eps_rel, bank.scal, bank.t_gstart,
-                          bank.g_pstart, bank.p_kind, bank.p_order, bank.p_row,
-                          bank.cbank, bank.w)
-    else:
-        g = _gradient_numpy(bank, phi, pi, eps_rel)
-    return g[0], g[1]
+    pv = _piece_values(bank, phi, pi)
+    gsum = _group_sums(bank, pv)
+    cot: dict[tuple[int, int], np.ndarray] = {}
+    for t in range(bank.n_terms):
+        g0, g1 = bank.t_gstart[t], bank.t_gstart[t + 1]
+        for g in range(g0, g1):
+            lo, hi = bank.g_pstart[g], bank.g_pstart[g + 1]
+            weight = bank.scal[t] * bank.delta
+            for h in range(g0, g1):
+                if h != g:
+                    weight = weight * gsum[h]
+            for p in range(lo, hi):
+                if bank.p_kind[p] == CONST:
+                    continue
+                c = weight
+                for q in range(lo, hi):
+                    if q != p:
+                        c = c * pv[q]
+                key = (int(bank.p_kind[p]), int(bank.p_order[p]))
+                acc = cot.setdefault(key, np.zeros(bank.n))
+                acc += c
+    out = np.zeros((2, bank.n))
+    for (kind, k), c in cot.items():
+        for j in range(-k, k + 1):
+            cw = bank.w[k, bank.kmax + j]
+            if cw != 0.0:
+                out[kind] += cw * np.roll(c, j)
+    return out[PHI], out[PI]

@@ -183,7 +183,7 @@ def _cmd_lattice_verify(args) -> int:
         for r in rep.rows:
             lines.append(f"N={r.n:<5} delta={r.delta:.5f}  max rel err {r.max_rel_error:.3e}")
         if rep.exact:
-            lines.append("exact at the gradient noise floor on every grid")
+            lines.append("exact to the noise floor on every grid")
         else:
             lines.append(f"observed order {rep.order:.3f}" if rep.order is not None
                          else "order not estimable")
@@ -373,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("lattice", parents=[shared], help="grid numerics")
     qsub = q.add_subparsers(dest="what", metavar="what")
     qv = qsub.add_parser("verify", parents=[shared],
-                         help="finite-difference oracle for the bracket")
+                         help="lattice oracle for the bracket")
     qv.add_argument("first")
     qv.add_argument("second")
     qv.add_argument("--n", type=int, action="append",

@@ -4,9 +4,9 @@ Everything here is 1-dimensional: a periodic grid of N points on
 [-L, L) standing in for rapidly decaying profiles on the line.  The
 module provides an oracle that is independent of the symbolic pipeline:
 integrals become Delta-weighted sums, spatial derivatives become
-iterated central differences, and bracket values are computed from
-finite-difference gradients in state space rather than from symbolic
-variational derivatives.
+iterated central differences, and bracket values are computed from the
+exact gradient of the discretized functional in state space rather than
+from symbolic variational derivatives.
 
 Conventions fixed here and used everywhere: delta(x_i - x_j) maps to
 Kronecker/Delta, so the discrete pairing is {phi_i, pi_j} = delta_ij /
@@ -130,12 +130,11 @@ class LatticeFunctional:
     bank: TermBank
     label: str = ""
 
-    def __call__(self, state: LatticeState, path: str | None = None) -> float:
-        return _kernels.functional_value(self.bank, state.phi, state.pi, path=path)
+    def __call__(self, state: LatticeState) -> float:
+        return _kernels.functional_value(self.bank, state.phi, state.pi)
 
-    def gradient(self, state: LatticeState, eps_rel: float = 1e-5, path: str | None = None):
-        return _kernels.functional_gradient(self.bank, state.phi, state.pi,
-                                            eps_rel=eps_rel, path=path)
+    def gradient(self, state: LatticeState):
+        return _kernels.functional_gradient(self.bank, state.phi, state.pi)
 
 
 def _delta_column(cfg: LatticeConfig, k: int) -> np.ndarray:
@@ -222,13 +221,15 @@ def discretize(s: Symbol, cfg: LatticeConfig, bind: NumericBinding | None = None
     return LatticeFunctional(cfg=cfg, bank=bank, label=format_expression(s))
 
 
-def numeric_bracket(f: LatticeFunctional, g: LatticeFunctional, state: LatticeState,
-                    eps_rel: float = 1e-5, path: str | None = None) -> float:
-    """Discrete bracket sum_i (1/Delta)(dF/dpi_i dG/dphi_i - dF/dphi_i dG/dpi_i)."""
+def numeric_bracket(f: LatticeFunctional, g: LatticeFunctional, state: LatticeState) -> float:
+    """Discrete bracket sum_i (1/Delta)(dF/dpi_i dG/dphi_i - dF/dphi_i dG/dpi_i).
+
+    Both gradients are the exact gradients of the discretized functionals.
+    """
     if f.cfg != g.cfg:
         raise LatticeError("bracket operands live on different grids")
-    f_phi, f_pi = f.gradient(state, eps_rel=eps_rel, path=path)
-    g_phi, g_pi = g.gradient(state, eps_rel=eps_rel, path=path)
+    f_phi, f_pi = f.gradient(state)
+    g_phi, g_pi = g.gradient(state)
     return float(np.sum(f_pi * g_phi - f_phi * g_pi) / f.cfg.delta)
 
 
@@ -255,7 +256,7 @@ class StateProfile:
 def random_profile(rng: np.random.Generator) -> StateProfile:
     # decay >= 0.4 keeps the wrap error at L = 8 below 1e-11; the upper
     # bound keeps high state derivatives (hence the O(Delta^2) constants
-    # of the finite-difference bracket) moderate
+    # of the central-difference stencils) moderate
     def draw():
         return tuple(rng.uniform(-0.5, 0.5, size=3).tolist()), float(rng.uniform(0.4, 0.7))
     cphi, aphi = draw()
@@ -303,13 +304,17 @@ class BracketVerification:
 
 
 def verify_bracket(a: Symbol, b: Symbol, configs, bind: NumericBinding | None = None,
-                   n_states: int = 3, seed: int = 0, eps_rel: float = 1e-5) -> BracketVerification:
-    """Compare the FD bracket against the discretized symbolic bracket.
+                   n_states: int = 3, seed: int = 0) -> BracketVerification:
+    """Compare the lattice bracket against the discretized symbolic bracket.
+
+    The lattice bracket pairs the exact gradients of the discretized
+    operands, so it differs from the discretized symbolic bracket only by
+    the O(Delta^2) error of the stencils and by roundoff.
 
     The same continuum profiles are sampled on every grid so the error
     rows are comparable; the order estimate is the mean log2 error drop
-    per grid doubling.  Pairs whose two routes agree to the gradient
-    noise floor on every grid are flagged exact and carry no order.
+    per grid doubling.  Pairs whose two routes agree to within
+    NOISE_FLOOR on every grid are flagged exact and carry no order.
     """
     require_symbol(a)
     require_symbol(b)
@@ -326,7 +331,7 @@ def verify_bracket(a: Symbol, b: Symbol, configs, bind: NumericBinding | None = 
         worst = 0.0
         for prof in profiles:
             st = prof.realize(cfg)
-            num = numeric_bracket(fa, fb, st, eps_rel=eps_rel)
+            num = numeric_bracket(fa, fb, st)
             want = ref(st)
             worst = max(worst, abs(num - want) / max(1.0, abs(want)))
         rows.append(ConvergenceRow(cfg.n, cfg.delta, worst))

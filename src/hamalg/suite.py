@@ -143,11 +143,12 @@ def criterion_2(profile: SuiteProfile, seed: int) -> CriterionResult:
 
 
 def criterion_3(profile: SuiteProfile, seed: int) -> CriterionResult:
-    """Symbolic brackets match the finite-difference functional bracket.
+    """Symbolic brackets match the lattice bracket of the discretized operands.
 
-    Pairs whose canonical forms are exactly representable on the grid sit
-    at the noise floor and carry no order estimate; the rest must converge
-    at second order and be accurate on the finest grid.
+    The lattice bracket pairs the exact gradients of the discretized
+    functionals.  Pairs whose canonical forms are exactly representable
+    on the grid sit at the noise floor and carry no order estimate; the
+    rest must converge at second order and be accurate on the finest grid.
     """
     # first-derivative, three-factor corpus: the published grids resolve
     # these integrands within tolerance; higher orders and wider products

@@ -1,15 +1,17 @@
-"""Evaluation kernels: the accelerated and plain paths must agree."""
+"""Evaluation kernels: stencils, values and the exact gradient."""
 
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from hamalg import LatticeConfig, default_binding, discretize, parse_symbol
-from hamalg._kernels import active_path, stencil_weights
+from hamalg import (LatticeConfig, LatticeState, default_binding, discretize,
+                    parse_symbol)
+from hamalg._kernels import functional_value, stencil_weights
 from hamalg.lattice import random_profile
 
 
@@ -38,34 +40,64 @@ def test_stencil_zeroth_row_is_identity():
     assert np.count_nonzero(w[0]) == 1
 
 
-HAS_NUMBA = active_path() == "numba"
+BENCH_EXPR = ("int[x]( (1/2)*pi(x)^2 + (1/2)*D(phi,1)(x)^2"
+              " + f(x)*phi(x)^3 + g(x)*phi(x)*D(phi,2)(x)*pi(x) )")
 
 
-@pytest.mark.skipif(not HAS_NUMBA, reason="accelerated path disabled")
-def test_paths_agree_on_values_and_gradients():
-    cfg = LatticeConfig(n=128, length=8.0)
-    bind = default_binding()
+def central_difference_gradient(fn, st, eps_rel=1e-5):
+    """Reference gradient: perturb one state entry at a time."""
+    out = []
+    for field in ("phi", "pi"):
+        grad = np.zeros(fn.cfg.n)
+        for s in range(fn.cfg.n):
+            eps = eps_rel * max(1.0, abs(getattr(st, field)[s]))
+            vals = []
+            for sign in (1.0, -1.0):
+                phi, pi = st.phi.copy(), st.pi.copy()
+                (phi if field == "phi" else pi)[s] += sign * eps
+                vals.append(functional_value(fn.bank, phi, pi))
+            grad[s] = (vals[0] - vals[1]) / (2.0 * eps)
+        out.append(grad)
+    return out
+
+
+@pytest.mark.parametrize("n", [32, 64])
+@pytest.mark.parametrize("text", [
+    "int[x]( phi(x)^3*pi(x)^2 )",
+    BENCH_EXPR,
+    "int[x]( (m^2/2)*phi(x)^2 + (1/2)*D(phi,2)(x)*g(x) )",
+    "int[x]( delta(x;1)*phi(x)^2*pi(x) )",
+    "int[x]( phi(x)^2 ) * int[y]( f(y)*D(phi,3)(y)*pi(y) )",
+])
+def test_gradient_matches_central_differences(text, n):
+    cfg = LatticeConfig(n=n, length=8.0)
+    fn = discretize(P(text), cfg, default_binding())
     rng = np.random.default_rng(17)
-    exprs = [
-        "int[x]( phi(x)^2 )",
-        "int[x]( f(x)*phi(x)*D(phi,1)(x)*pi(x) )",
-        "int[x]( (m^2/2)*phi(x)^2 + (1/2)*D(phi,2)(x)*g(x) )",
-        "int[x]( phi(x)^3*pi(x)^2 )",
-    ]
-    for text in exprs:
-        fn = discretize(P(text), cfg, bind)
-        for _ in range(3):
-            st = random_profile(rng).realize(cfg)
-            va = fn(st, path="numba")
-            vb = fn(st, path="numpy")
-            assert abs(va - vb) <= 1e-12 * max(1.0, abs(vb))
-            ga = fn.gradient(st, path="numba")
-            gb = fn.gradient(st, path="numpy")
-            # the probe division amplifies last-bit value differences
-            # to roughly value-roundoff / eps; 1e-9 sits well above that
-            # and far below any real kernel discrepancy
-            for xa, xb in zip(ga, gb):
-                assert np.abs(xa - xb).max() <= 1e-9 * max(1.0, np.abs(xb).max())
+    states = [random_profile(rng).realize(cfg) for _ in range(2)]
+    # pi = 0 makes whole pieces vanish; their cotangents must still be
+    # the products of the other pieces
+    states.append(LatticeState(states[0].phi, np.zeros(n)))
+    for st in states:
+        got = fn.gradient(st)
+        want = central_difference_gradient(fn, st)
+        scale = max(1.0, max(np.abs(w).max() for w in want))
+        for g, w in zip(got, want):
+            assert np.abs(g - w).max() <= 1e-8 * scale
+
+
+def test_gradient_memory_is_linear_in_the_grid():
+    n = 4096
+    cfg = LatticeConfig(n=n, length=8.0)
+    fn = discretize(P(BENCH_EXPR), cfg, default_binding())
+    st = random_profile(np.random.default_rng(3)).realize(cfg)
+    tracemalloc.start()
+    try:
+        fn.gradient(st)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # linear in N: no more than 64 grid-sized float arrays at once
+    assert peak <= 64 * n * 8
 
 
 def test_env_flag_selects_the_plain_path():

@@ -1,4 +1,4 @@
-"""Grid discretization and the finite-difference bracket oracle."""
+"""Grid discretization and the lattice bracket oracle."""
 
 import numpy as np
 import pytest
