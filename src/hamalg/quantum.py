@@ -15,11 +15,12 @@ only reported, not applied.
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
-from math import factorial
+from itertools import count
+from math import factorial, prod
 
 from ._rewrite import _diff_once, canonicalize_terms
 from .errors import DivergentLeadingTermError, HamalgError, PreconditionError
@@ -96,26 +97,60 @@ def _check_scheme(scheme: str):
         raise ValueError(f"unknown ordering scheme {scheme!r}; expected one of {SCHEMES}")
 
 
+#: most Weyl words one quantize call may produce (phi^8*pi^8 has 12,870)
+WEYL_WORD_LIMIT = 20_000
+
+
+def _distinct_arrangements(factors):
+    """Yield each distinct arrangement of `factors` once, in lexicographic
+    order of factor keys (Knuth, TAOCP 4A, 7.2.1.2, Algorithm L)."""
+    distinct = sorted(set(factors), key=lambda f: f.key())
+    rank = {f: k for k, f in enumerate(distinct)}
+    a = sorted(rank[f] for f in factors)
+    n = len(a)
+    while True:
+        yield tuple(distinct[k] for k in a)
+        j = n - 2
+        while j >= 0 and a[j] >= a[j + 1]:
+            j -= 1
+        if j < 0:
+            return
+        l = n - 1
+        while a[j] >= a[l]:
+            l -= 1
+        a[j], a[l] = a[l], a[j]
+        a[j + 1:] = a[:j:-1]
+
+
 def quantize(s: Symbol, scheme: str = "normal") -> OperatorExpression:
     """Lift a functional to an operator expression under the given ordering.
 
     The classical canonical form already lists fields before momenta, so the
-    normal scheme keeps each word as is; the Weyl scheme replaces a word of
-    length r by the average of its r! arrangements (identical arrangements
-    pooled into one rational weight).
+    normal scheme keeps each word as is.  The Weyl scheme replaces a word of
+    length r by each distinct arrangement once, weighted prod(m_i!)/r!,
+    where the m_i are the multiplicities of equal factors; this is the
+    average over all r! arrangements.  A symbol whose terms together have
+    more than WEYL_WORD_LIMIT distinct arrangements is refused with a
+    HamalgError before any word is generated.
     """
     _check_scheme(scheme)
     require_symbol(s)
+    terms = canonicalize(s).terms
+    if scheme == "normal":
+        return op_canonicalize(OperatorExpression(terms))
+    # a term's weight prod(m_i!)/r! is 1 / (its number of arrangements)
+    weights = [Fraction(prod(factorial(m) for m in Counter(t.factors).values()),
+                        factorial(len(t.factors))) for t in terms]
+    words = sum(w.denominator for w in weights)
+    if words > WEYL_WORD_LIMIT:
+        raise HamalgError(
+            f"Weyl quantization would produce {words} words, above the "
+            f"limit of {WEYL_WORD_LIMIT}")
     out = []
-    for t in canonicalize(s).terms:
-        r = len(t.factors)
-        if scheme == "normal" or r < 2:
-            out.append(t)
-            continue
-        denom = factorial(r)
-        for word, count in Counter(permutations(t.factors)).items():
-            out.append(Term(t.dummies, t.coeff.scale(Fraction(count, denom)),
-                            word, t.deltas))
+    for t, w in zip(terms, weights):
+        coeff = t.coeff.scale(w)
+        out.extend(Term(t.dummies, coeff, word, t.deltas)
+                   for word in _distinct_arrangements(t.factors))
     return op_canonicalize(OperatorExpression(tuple(out)))
 
 
@@ -169,6 +204,17 @@ def _sort_blocks(t: Term) -> Term:
     return Term(t.dummies, t.coeff, phis + pis, t.deltas)
 
 
+def _inversions(word) -> int:
+    """Number of (momentum, field) pairs with the momentum to the left."""
+    seen_pi = inv = 0
+    for f in word:
+        if f.field == PI:
+            seen_pi += 1
+        else:
+            inv += seen_pi
+    return inv
+
+
 def ccr_reduce(e: OperatorExpression,
                transfer: bool | None = None) -> OperatorExpression:
     """Rewrite every word into normal order (fields left, momenta right).
@@ -177,16 +223,45 @@ def ccr_reduce(e: OperatorExpression,
     term's word is two factors shorter, so the rewriting terminates.  Within
     a normal-ordered word the fields commute exactly, as do the momenta, so
     the two blocks are sorted.
+
+    Pending terms merge their scalars on push and are rewritten in
+    decreasing order of (word length, momentum-before-field inversions).  A
+    rewrite step either keeps the length and removes exactly one inversion
+    or shortens the word by two, so every contribution to a word has merged
+    before that word is rewritten, and each distinct word is rewritten once.
     """
-    queue = list(e.terms)
+    pending: dict = {}
+    heap = []
+    # VarId cannot be ordered, so an insertion counter breaks priority ties
+    tiebreak = count()
+
+    def push(t):
+        k = (t.dummies, t.key())
+        old = pending.get(k)
+        if old is None:
+            pending[k] = t
+            heapq.heappush(heap, (-len(t.factors), -_inversions(t.factors),
+                                  next(tiebreak), k))
+            return
+        c = old.coeff
+        pending[k] = Term(old.dummies,
+                          Coefficient(c.scalar + t.coeff.scalar, c.h, c.i, c.m,
+                                      c.divergent, c.functions),
+                          old.factors, old.deltas)
+
+    for t in e.terms:
+        push(t)
     done = []
-    while queue:
-        t = queue.pop()
+    while heap:
+        t = pending.pop(heapq.heappop(heap)[-1])
+        if t.coeff.is_zero:
+            continue
         step = _bubble(t)
         if step is None:
             done.append(_sort_blocks(t))
         else:
-            queue.extend(step)
+            for nt in step:
+                push(nt)
     return OperatorExpression(
         canonicalize_terms(tuple(done), quantum=True, transfer=transfer))
 

@@ -77,19 +77,6 @@ class Session:
     def free_name(self, index: int) -> str:
         return self._free_names[index]
 
-    def free_names_in_use(self) -> frozenset[str]:
-        return frozenset(self._free_names)
-
-    def fresh_free(self, prefix: str = "y") -> int:
-        """Intern a free variable with an unused name and return its index."""
-        if prefix not in self._free_index and prefix.isidentifier() \
-                and prefix not in RESERVED and prefix not in self._functions:
-            return self.intern_free(prefix)
-        k = 1
-        while f"{prefix}{k}" in self._free_index:
-            k += 1
-        return self.intern_free(f"{prefix}{k}")
-
     def reset(self, dimension: int | None = None) -> None:
         self.__init__(dimension if dimension is not None else self._dimension)
 

@@ -266,9 +266,6 @@ class Term:
         return out
 
 
-ClassicalTerm = Term
-
-
 def make_term(scalar, dummies=(), factors=(), deltas=(), h=0, i=0, m=0,
               divergent=(), functions=()) -> Term:
     return Term(

@@ -1,15 +1,21 @@
 """Quantization, commutators, and the ordering residual."""
 
+from collections import Counter
+from fractions import Fraction
+from itertools import permutations
+from math import factorial
+
 import pytest
 
-from hamalg import (RandomSymbolGenerator, UnsupportedDivergenceError,
-                    bracket, ccr_reduce, classical_limit, commutator,
-                    correspondence_check, delta_square_defect, equals,
-                    forget_order, formal_scale, leibniz_residual, multiply,
-                    op_equals, op_multiply, parse_operator, parse_symbol,
-                    quantize)
+from hamalg import (HamalgError, RandomSymbolGenerator,
+                    UnsupportedDivergenceError, bracket, ccr_reduce,
+                    classical_limit, cli, commutator, correspondence_check,
+                    delta_square_defect, equals, forget_order, formal_scale,
+                    leibniz_residual, multiply, op_equals, op_multiply,
+                    parse_operator, parse_symbol, quantize, quantum)
+from hamalg._rewrite import canonicalize_terms
 from hamalg.parser import format_expression
-from hamalg.terms import INT_DELTA_SQ
+from hamalg.terms import INT_DELTA_SQ, Term, canonicalize
 
 
 def P(text):
@@ -111,3 +117,107 @@ def test_ordering_residual_identity():
 def test_delta_square_defect_matches_the_residual():
     assert equals(delta_square_defect(),
                   P("delta0(0)*delta(x;1) - 2*delta0(1)*delta(x)"))
+
+
+# -- Weyl enumeration and CCR reduction against brute-force references ----------
+
+# one symbol for each word length r <= 7: repeated factors, derivative
+# factors, a weight function, two dummies, and a two-term symbol
+REFERENCE_SYMBOLS = [
+    "int[x]( f(x) )",
+    "int[x]( f(x)*pi(x) )",
+    "int[x]( phi(x)*pi(x) )",
+    "int[x,y]( phi(x)*pi(y)*phi(y) )",
+    "int[x]( phi(x)*D(phi,1)(x)*pi(x)^2 )",
+    "int[x]( f(x)*phi(x)^3*pi(x)^2 )",
+    "int[x]( phi(x)^2*D(phi,1)(x)*pi(x)*D(pi,1)(x)^2 )",
+    "int[x]( phi(x)^4*pi(x)^3 )",
+    "int[x]( phi(x)^3*pi(x)^2 + 2*f(x)*D(phi,1)(x)*pi(x)^3*phi(x)^2 )",
+]
+
+
+def _weyl_reference(s):
+    """Every one of the r! arrangements, pooled by Counter, weight count/r!."""
+    out = []
+    for t in canonicalize(s).terms:
+        denom = factorial(len(t.factors))
+        for word, n in Counter(permutations(t.factors)).items():
+            out.append(Term(t.dummies, t.coeff.scale(Fraction(n, denom)),
+                            word, t.deltas))
+    return canonicalize_terms(tuple(out), quantum=True)
+
+
+def _lifo_reference(e, transfer=None):
+    """Bubble every term on its own through a LIFO queue, merging nothing."""
+    queue, done = list(e.terms), []
+    while queue:
+        t = queue.pop()
+        step = quantum._bubble(t)
+        if step is None:
+            done.append(quantum._sort_blocks(t))
+        else:
+            queue.extend(step)
+    return canonicalize_terms(tuple(done), quantum=True, transfer=transfer)
+
+
+def test_weyl_matches_the_permutation_reference():
+    lengths = set()
+    for text in REFERENCE_SYMBOLS:
+        s = P(text)
+        lengths.update(len(t.factors) for t in canonicalize(s).terms)
+        assert quantize(s, "weyl").terms == _weyl_reference(s), text
+    assert lengths >= set(range(8))
+
+
+def test_ccr_reduce_matches_the_unmerged_queue():
+    h = quantize(P("int[x]( (1/2)*pi(x)^2 + (1/2)*phi(x)^2 )"), "normal")
+    cases = [quantize(P(text), "weyl") for text in REFERENCE_SYMBOLS]
+    cases.append(op_multiply(h, h))
+    for e in cases:
+        for transfer in (None, True):
+            assert ccr_reduce(e, transfer).terms == _lifo_reference(e, transfer)
+
+
+PHI5_PI5 = "int[x]( 3*phi(x)^5*pi(x)^5 )"
+
+
+def test_weyl_enumerates_distinct_words_only():
+    out = quantize(P(PHI5_PI5), "weyl")
+    assert len(out.terms) == factorial(10) // (factorial(5) * factorial(5))
+    assert sum(t.coeff.scalar for t in out.terms) == 3
+
+
+def test_ccr_reduce_rewrites_each_distinct_term_once(monkeypatch):
+    seen = []
+    bubble = quantum._bubble
+
+    def recording(t):
+        seen.append((t.dummies, t.key()))
+        return bubble(t)
+
+    e = quantize(P(PHI5_PI5), "weyl")
+    monkeypatch.setattr(quantum, "_bubble", recording)
+    ccr_reduce(e)
+    assert seen
+    assert len(seen) == len(set(seen))
+
+
+BEYOND_LIMIT = "int[x]( phi(x)^2*D(phi,1)(x)^2*D(phi,2)(x)^2*pi(x)^3*D(pi,1)(x)^3 )"
+
+
+def test_weyl_word_limit_refuses_before_enumerating(monkeypatch):
+    def refuse(factors):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(quantum, "_distinct_arrangements", refuse)
+    with pytest.raises(HamalgError) as info:
+        quantize(P(BEYOND_LIMIT), "weyl")
+    # 12!/(2!^3 * 3!^2) distinct words
+    assert "1663200" in str(info.value)
+    assert str(quantum.WEYL_WORD_LIMIT) in str(info.value)
+
+
+def test_cli_reports_the_weyl_word_limit(capsys):
+    code = cli.main(["quantize", BEYOND_LIMIT, "--scheme", "weyl"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
