@@ -2,7 +2,8 @@
 
 Pipeline per term (first applicable rule fires, results re-enter the queue):
 
-1. drop exact zeros; orient delta arguments (smaller variable first);
+1. (at push) drop exact zeros, rename dummies by first occurrence, orient
+   delta arguments (smaller variable first) and sort;
 2. coincident deltas: delta^(k)(v - v) becomes the formal constant
    delta^(k)(0) in operator mode and is an error in classical mode;
 3. paired deltas on one variable pair: the exclusive order-0 square under its
@@ -22,18 +23,22 @@ Pipeline per term (first applicable rule fires, results re-enter the queue):
    reduced (with chain-rule grouping) while a multiset measure on factor keys
    strictly decreases; ties or non-decreasing rewrites leave the term alone.
 
-Afterwards dummies are relabeled canonically (refinement signature plus a
-bounded brute-force over symmetric ties), factor lists are sorted in classical
-mode (operator words keep their order), and like terms merge.
+Afterwards dummies are relabeled canonically by one sort on their signatures
+(what sits at each dummy), factor lists are sorted in classical mode (operator
+words keep their order), and like terms merge.  The sort is canonical because
+contraction leaves no two-argument delta on a dummy, so nothing links two
+dummies and dummies with equal signatures swap freely; the relabeling checks
+that invariant and raises if it fails.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations, product
-from math import comb, factorial
+from itertools import product
+from math import comb
 
-from .errors import CoincidentDeltaError, UnsupportedDivergenceError
+from .errors import (CoincidentDeltaError, HamalgError,
+                     UnsupportedDivergenceError)
 from .terms import (
     Coefficient,
     DeltaFactor,
@@ -52,8 +57,6 @@ from .terms import (
     mi_unit,
     subst_var,
 )
-
-_PERM_CAP = 720  # bail out of brute-force tie breaking beyond 6! orderings
 
 
 def canonicalize_terms(terms, quantum: bool = False,
@@ -108,11 +111,6 @@ def canonicalize_terms(terms, quantum: bool = False,
 
 
 def _rewrite_step(t: Term, quantum: bool, transfer: bool):
-    if t.coeff.is_zero:
-        return []
-    r = _orient(t)
-    if r is not None:
-        return r
     r = _coincident(t, quantum)
     if r is not None:
         return r
@@ -136,23 +134,6 @@ def _rewrite_step(t: Term, quantum: bool, transfer: bool):
     if r is not None:
         return r
     return None
-
-
-def _orient(t: Term):
-    """delta^(k)(u - v) with u > v flips to (-1)^|k| delta^(k)(v - u)."""
-    sign = 1
-    changed = False
-    deltas = []
-    for d in t.deltas:
-        if d.right is not None and d.left.key() > d.right.key():
-            deltas.append(DeltaFactor(d.deriv, d.right, d.left))
-            sign *= (-1) ** mi_abs(d.deriv)
-            changed = True
-        else:
-            deltas.append(d)
-    if not changed:
-        return None
-    return [Term(t.dummies, t.coeff.scale(sign), t.factors, tuple(deltas))]
 
 
 def _coincident(t: Term, quantum: bool):
@@ -462,49 +443,19 @@ def _measure(t: Term, v: VarId) -> tuple:
 # -- relabeling, sorting, merging ---------------------------------------------
 
 
-def _class_of(v, classes):
-    if v is None:
-        return ("origin",)
-    if v.kind == 1:  # free
-        return ("free", v.index)
-    return ("cls", classes.get(v, -1))
-
-
-def _refine_classes(t: Term, quantum: bool) -> dict[VarId, int]:
-    dummies = list(t.dummies)
-    classes = {v: 0 for v in dummies}
-    for _ in range(3):
-        sigs = {}
-        for v in dummies:
-            desc = []
-            for pos, f in enumerate(t.factors):
-                if f.var == v:
-                    desc.append(("F", f.field, f.deriv, pos if quantum else -1))
-            for fn in t.coeff.functions:
-                if fn.var == v:
-                    desc.append(("N", fn.name, fn.deriv))
-            for d in t.deltas:
-                if d.left == v:
-                    desc.append(("DL", d.deriv, _class_of(d.right, classes)))
-                if d.right == v:
-                    desc.append(("DR", d.deriv, _class_of(d.left, classes)))
-            sigs[v] = tuple(sorted(desc))
-        order = sorted(dummies, key=lambda v: (sigs[v], 0))
-        new = {}
-        rank = -1
-        prev = object()
-        for v in order:
-            if sigs[v] != prev:
-                rank += 1
-                prev = sigs[v]
-            new[v] = rank
-        if new == classes:
-            break
-        classes = new
-    return classes
-
-
-_TMP_BASE = 10 ** 6
+def _signature(t: Term, v: VarId, quantum: bool) -> tuple:
+    """What sits at dummy `v`; operator words also record word positions."""
+    desc = []
+    for pos, f in enumerate(t.factors):
+        if f.var == v:
+            desc.append(("F", f.field, f.deriv, pos if quantum else -1))
+    for fn in t.coeff.functions:
+        if fn.var == v:
+            desc.append(("N", fn.name, fn.deriv))
+    for d in t.deltas:
+        if d.left == v:
+            desc.append(("DL", d.deriv))
+    return tuple(sorted(desc))
 
 
 def _occurrence_order(t: Term) -> list[VarId]:
@@ -548,7 +499,7 @@ def _rename(t: Term, order: list[VarId]) -> Term:
 
 
 def _normalize_rep(t: Term, quantum: bool) -> Term:
-    """Orient deltas, sort what is sortable; assumes rewriting is exhausted."""
+    """Orient deltas (smaller variable first) and sort what is sortable."""
     sign = 1
     deltas = []
     for d in t.deltas:
@@ -565,33 +516,14 @@ def _normalize_rep(t: Term, quantum: bool) -> Term:
 
 
 def _finalize(t: Term, quantum: bool) -> Term:
-    if not t.dummies:
-        return _normalize_rep(t, quantum)
-    classes = _refine_classes(t, quantum)
-    groups: dict[int, list[VarId]] = {}
-    for v in t.dummies:
-        groups.setdefault(classes[v], []).append(v)
-    for g in groups.values():
-        g.sort(key=lambda v: v.key())
-    ranks = sorted(groups)
-    n_perms = 1
-    for g in groups.values():
-        n_perms *= factorial(len(g))
-    candidates = []
-    if n_perms > _PERM_CAP:
-        order = [v for r in ranks for v in groups[r]]
-        candidates.append(order)
-    else:
-        for choice in product(*(permutations(groups[r]) for r in ranks)):
-            candidates.append([v for grp in choice for v in grp])
-    best = None
-    best_key = None
-    for order in candidates:
-        cand = _normalize_rep(_rename(t, order), quantum)
-        key = (cand.key(), cand.coeff.scalar)
-        if best_key is None or key < best_key:
-            best, best_key = cand, key
-    return best
+    for d in t.deltas:
+        if d.right is not None and (d.left.is_dummy or d.right.is_dummy):
+            raise HamalgError(
+                f"delta of order {d.deriv} on ({d.left!r}, {d.right!r}) links "
+                "an integration dummy at the fixpoint; contraction should "
+                "have removed it")
+    order = sorted(t.dummies, key=lambda v: _signature(t, v, quantum))
+    return _normalize_rep(_rename(t, order), quantum)
 
 
 def _merge(terms) -> tuple[Term, ...]:

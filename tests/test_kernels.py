@@ -1,9 +1,6 @@
 """Evaluation kernels: stencils, values and the exact gradient."""
 
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
@@ -11,7 +8,7 @@ import pytest
 
 from hamalg import (LatticeConfig, LatticeState, default_binding, discretize,
                     parse_symbol)
-from hamalg._kernels import functional_value, stencil_weights
+from hamalg._kernels import active_path, functional_value, stencil_weights
 from hamalg.lattice import random_profile
 
 
@@ -100,25 +97,5 @@ def test_gradient_memory_is_linear_in_the_grid():
     assert peak <= 64 * n * 8
 
 
-def test_env_flag_selects_the_plain_path():
-    code = ("from hamalg._kernels import active_path; "
-            "print(active_path())")
-    env = dict(os.environ, HAMALG_NO_NUMBA="1")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "numpy"
-
-
-def test_plain_path_still_computes_under_the_flag():
-    code = (
-        "import numpy as np\n"
-        "from hamalg import LatticeConfig, LatticeState, discretize, parse_symbol\n"
-        "cfg = LatticeConfig(n=64, length=8.0)\n"
-        "x = cfg.x()\n"
-        "st = LatticeState(np.exp(-x*x), np.zeros_like(x))\n"
-        "fn = discretize(parse_symbol('int[x]( phi(x)^2 )'), cfg)\n"
-        "print(abs(fn(st) - np.sqrt(np.pi/2)) < 1e-10)\n")
-    env = dict(os.environ, HAMALG_NO_NUMBA="1")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "True"
+def test_active_path_is_numpy():
+    assert active_path() == "numpy"

@@ -1,10 +1,15 @@
 """Canonical form and term algebra."""
 
+import random
+
 import pytest
 
-from hamalg import (CoincidentDeltaError, MaxDerivativeError, ParseError,
-                    RandomSymbolGenerator, ZERO, canonicalize, equals,
-                    multiply, parse_symbol)
+from hamalg import (CoincidentDeltaError, Coefficient, DeltaFactor,
+                    FieldFactor, HamalgError, MaxDerivativeError,
+                    NamedFunction, ParseError, RandomSymbolGenerator, Symbol,
+                    Term, ZERO, canonicalize, delta, dummy, equals, make_term,
+                    multiply, named, parse_symbol, phi, pi_)
+from hamalg import _rewrite
 from hamalg.parser import format_expression
 
 
@@ -107,3 +112,88 @@ def test_canonicalize_is_idempotent():
     for _ in range(40):
         s = gen.symbol()
         assert canonicalize(s) == s
+
+
+def relabeled(t, rng, keep_word=False):
+    """`t` with its dummies renamed by a random injection and its factor
+    lists shuffled; operator words (`keep_word`) keep their factor order."""
+    m = dict(zip(t.dummies, (dummy(i) for i in rng.sample(range(100), len(t.dummies)))))
+    factors = [FieldFactor(f.field, f.deriv, m.get(f.var, f.var)) for f in t.factors]
+    funcs = [NamedFunction(fn.name, fn.deriv, m.get(fn.var, fn.var))
+             for fn in t.coeff.functions]
+    deltas = [DeltaFactor(d.deriv, m.get(d.left, d.left),
+                          m.get(d.right, d.right))
+              for d in t.deltas]
+    dummies = list(m.values())
+    for seq in (funcs, deltas, dummies) + (() if keep_word else (factors,)):
+        rng.shuffle(seq)
+    c = t.coeff
+    return Term(tuple(dummies), Coefficient(c.scalar, c.h, c.i, c.m, c.divergent, tuple(funcs)),
+                tuple(factors), tuple(deltas))
+
+
+TIED = "f({0})*phi({0})^2*D(phi,1)({0})*pi({0})*delta({0};1)"
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_canonical_form_ignores_dummy_labels(n):
+    # n integrals with one signature, two more with another, and pairs
+    # told apart only by a function name or by an anchored delta's order
+    parts = [TIED.format(f"x{k}") for k in range(n)]
+    parts += [f"D(phi,1)({v})^2*pi({v})" for v in ("y", "z")]
+    parts += ["f(u)*phi(u)", "g(v)*phi(v)", "phi(r)*delta(r)", "phi(s)*delta(s;1)"]
+    dummies = ",".join([f"x{k}" for k in range(n)] + list("yzuvrs"))
+    raw = P(f"int[{dummies}]( 3*" + "*".join(parts) + " )")
+    want = canonicalize(raw)
+    (canon,) = want.terms
+    assert len(canon.dummies) == n + 6
+    for seed in range(4):
+        rng = random.Random(seed)
+        (t,) = raw.terms
+        assert canonicalize(Symbol((relabeled(t, rng),))) == want
+        assert _rewrite._finalize(relabeled(canon, rng), False) == canon
+
+
+def test_operator_canonical_form_ignores_dummy_labels():
+    ds = [dummy(i) for i in range(8)]
+    # d0 and d1 carry the same fields and differ only by word position
+    word = (phi(ds[0]), pi_(ds[1]), phi(ds[1]), pi_(ds[0]))
+    # six dummies tied by a weight function and an anchored delta each
+    t = make_term(2, dummies=ds, factors=word,
+                  deltas=[delta(v, None, 1) for v in ds[2:]],
+                  functions=[named("f", v) for v in ds[2:]])
+    want = _rewrite.canonicalize_terms((t,), quantum=True)
+    (canon,) = want
+    assert len(canon.dummies) == 8
+    for seed in range(4):
+        rng = random.Random(seed)
+        assert _rewrite.canonicalize_terms(
+            (relabeled(t, rng, keep_word=True),), quantum=True) == want
+        assert _rewrite._finalize(relabeled(canon, rng, keep_word=True), True) == canon
+
+
+def test_relabeling_renames_once(monkeypatch):
+    square = P("int[x]( phi(x)^2 )")
+    s = square
+    for _ in range(5):
+        s = multiply(s, square)
+    (t,) = s.terms
+    assert len(t.dummies) == 6
+    calls = []
+    rename = _rewrite._rename
+
+    def counting(term, order):
+        calls.append(order)
+        return rename(term, order)
+
+    monkeypatch.setattr(_rewrite, "_rename", counting)
+    assert _rewrite._finalize(t, False) == t
+    assert len(calls) == 1
+
+
+def test_relabeling_refuses_a_delta_linking_dummies():
+    d0, d1 = dummy(0), dummy(1)
+    t = make_term(1, dummies=(d0, d1), factors=(phi(d0), phi(d1)),
+                  deltas=(delta(d0, d1),))
+    with pytest.raises(HamalgError, match="delta"):
+        _rewrite._finalize(t, False)
