@@ -14,8 +14,8 @@ Pipeline per term (first applicable rule fires, results re-enter the queue):
 5. contraction: a delta with at least one integration-dummy argument is
    eliminated against the rest of the term, transferring its derivative by
    integration by parts;
-6. orphaned integration variables: formal volume factor in operator mode,
-   error in classical mode;
+6. orphaned integration variables: the formal volume constant, in both
+   modes ({int phi, int pi} = -vol classically);
 7. argument transfer across free-variable deltas (binomial identity), so
    expressions differing only by which delta argument carries the fields
    coincide structurally;
@@ -29,6 +29,11 @@ words keep their order), and like terms merge.  The sort is canonical because
 contraction leaves no two-argument delta on a dummy, so nothing links two
 dummies and dummies with equal signatures swap freely; the relabeling checks
 that invariant and raises if it fails.
+
+Every rule rebuilds terms through the same few edits: terms.relabel renames
+variables, _set_slot changes the order (or the point) of one factor or
+coefficient function, and _accumulate adds like terms by key, both at push
+and in the final merge (quantum.ccr_reduce merges its queue with it too).
 """
 
 from __future__ import annotations
@@ -55,7 +60,7 @@ from .terms import (
     mi_abs,
     mi_add,
     mi_unit,
-    subst_var,
+    relabel,
 )
 
 
@@ -77,19 +82,7 @@ def canonicalize_terms(terms, quantum: bool = False,
         if t.dummies:
             t = _rename(t, _occurrence_order(t))
         t = _normalize_rep(t, quantum)
-        k = t.key()
-        old = pending.get(k)
-        if old is None:
-            pending[k] = t
-            return
-        s = old.coeff.scalar + t.coeff.scalar
-        if s == 0:
-            del pending[k]
-            return
-        c = old.coeff
-        pending[k] = Term(old.dummies,
-                          Coefficient(s, c.h, c.i, c.m, c.divergent, c.functions),
-                          old.factors, old.deltas)
+        _accumulate(pending, t.key(), t)
 
     for t in terms:
         push(t)
@@ -236,25 +229,33 @@ def _slots(t: Term, v: VarId):
     return out
 
 
+def _slot_piece(t: Term, slot):
+    """The field factor or coefficient function at a ("factor"|"func", idx) slot."""
+    kind, idx = slot
+    return t.factors[idx] if kind == "factor" else t.coeff.functions[idx]
+
+
+def _set_slot(t: Term, slot, deriv, var=None) -> Term:
+    """`t` with the piece at `slot` given order `deriv` (and moved to `var`)."""
+    kind, idx = slot
+    p = _slot_piece(t, slot)
+    if var is None:
+        var = p.var
+    if kind == "factor":
+        nf = FieldFactor(p.field, deriv, var)
+        return Term(t.dummies, t.coeff,
+                    t.factors[:idx] + (nf,) + t.factors[idx + 1:], t.deltas)
+    c = t.coeff
+    funcs = c.functions[:idx] + (NamedFunction(p.name, deriv, var),) + c.functions[idx + 1:]
+    return Term(t.dummies, Coefficient(c.scalar, c.h, c.i, c.m, c.divergent, funcs),
+                t.factors, t.deltas)
+
+
 def _apply_d_slot(t: Term, slot, axis: int) -> Term:
     """Differentiate one slot of `t` along `axis` (product-rule summand)."""
     e = mi_unit(axis)
-    kind = slot[0]
-    if kind == "factor":
-        idx = slot[1]
-        f = t.factors[idx]
-        nf = FieldFactor(f.field, mi_add(f.deriv, e), f.var)
-        return Term(t.dummies, t.coeff,
-                    t.factors[:idx] + (nf,) + t.factors[idx + 1:], t.deltas)
-    if kind == "func":
-        idx = slot[1]
-        fn = t.coeff.functions[idx]
-        nfn = NamedFunction(fn.name, mi_add(fn.deriv, e), fn.var)
-        funcs = t.coeff.functions[:idx] + (nfn,) + t.coeff.functions[idx + 1:]
-        c = t.coeff
-        return Term(t.dummies,
-                    Coefficient(c.scalar, c.h, c.i, c.m, c.divergent, funcs),
-                    t.factors, t.deltas)
+    if slot[0] != "delta":
+        return _set_slot(t, slot, mi_add(_slot_piece(t, slot).deriv, e))
     idx, side = slot[1], slot[2]
     d = t.deltas[idx]
     nd = DeltaFactor(mi_add(d.deriv, e), d.left, d.right)
@@ -291,12 +292,9 @@ def _contract(t: Term, quantum: bool):
         idx = t.deltas.index(d)
         stripped = Term(t.dummies, t.coeff, t.factors,
                         t.deltas[:idx] + t.deltas[idx + 1:])
-        out = []
-        for tt in _diff_multi(stripped, v, d.deriv):
-            tt = subst_var(tt, v, keep)
-            out.append(Term(tuple(x for x in tt.dummies if x != v),
-                            tt.coeff.scale(sign), tt.factors, tt.deltas))
-        return out
+        dummies = tuple(x for x in t.dummies if x != v)
+        return [_scale_term(relabel(tt, {v: keep}, dummies), sign)
+                for tt in _diff_multi(stripped, v, d.deriv)]
     return None
 
 
@@ -319,44 +317,22 @@ def _transfer(t: Term):
     for didx, d in enumerate(t.deltas):
         if d.right is None or d.left.is_dummy or d.right.is_dummy:
             continue
-        # orientation guarantees left < right; move arguments onto the left
-        target, source = d.left, d.right
-        slot = None
-        for idx, f in enumerate(t.factors):
-            if f.var == source:
-                slot = ("factor", idx)
-                break
-        if slot is None:
-            for idx, fn in enumerate(t.coeff.functions):
-                if fn.var == source:
-                    slot = ("func", idx)
-                    break
-        if slot is None:
+        # orientation guarantees left < right; move the first factor (else
+        # function) at the right argument onto the left
+        keys = _ibp_keys(t, d.right)
+        if not keys:
             continue
+        _, base, slot = keys[0]
         k = d.deriv
         out = []
         for j in product(*(range(a + 1) for a in k)):
             w = 1
             for a, b in zip(k, j):
                 w *= comb(a, b)
-            kd = tuple(a - b for a, b in zip(k, j))
-            nd = DeltaFactor(kd, d.left, d.right)
-            if slot[0] == "factor":
-                f = t.factors[slot[1]]
-                nf = FieldFactor(f.field, mi_add(f.deriv, j), target)
-                factors = t.factors[:slot[1]] + (nf,) + t.factors[slot[1] + 1:]
-                coeff = t.coeff.scale(w)
-                out.append(Term(t.dummies, coeff, factors,
-                                t.deltas[:didx] + (nd,) + t.deltas[didx + 1:]))
-            else:
-                fn = t.coeff.functions[slot[1]]
-                nfn = NamedFunction(fn.name, mi_add(fn.deriv, j), target)
-                funcs = (t.coeff.functions[:slot[1]] + (nfn,)
-                         + t.coeff.functions[slot[1] + 1:])
-                c = t.coeff
-                coeff = Coefficient(c.scalar * w, c.h, c.i, c.m, c.divergent, funcs)
-                out.append(Term(t.dummies, coeff, t.factors,
-                                t.deltas[:didx] + (nd,) + t.deltas[didx + 1:]))
+            nd = DeltaFactor(tuple(a - b for a, b in zip(k, j)), d.left, d.right)
+            moved = _set_slot(t, slot, mi_add(base, j), d.left)
+            out.append(Term(t.dummies, moved.coeff.scale(w), moved.factors,
+                            t.deltas[:didx] + (nd,) + t.deltas[didx + 1:]))
         return out
     return None
 
@@ -406,7 +382,7 @@ def _ibp(t: Term, quantum: bool):
         p = len(grouped)
         rslots = [k[2] for k in keys
                   if k[2] != top_slot and k[2] not in grouped]
-        lowered = _set_slot_deriv(t, top_slot, Km)
+        lowered = _set_slot(t, top_slot, Km)
         scale = Fraction(-1, p + 1)
         new_terms = [_scale_term(_apply_d_slot(lowered, s, axis), scale)
                      for s in rslots]
@@ -418,21 +394,6 @@ def _ibp(t: Term, quantum: bool):
 
 def _scale_term(t: Term, q) -> Term:
     return Term(t.dummies, t.coeff.scale(q), t.factors, t.deltas)
-
-
-def _set_slot_deriv(t: Term, slot, deriv) -> Term:
-    kind, idx = slot
-    if kind == "factor":
-        f = t.factors[idx]
-        nf = FieldFactor(f.field, deriv, f.var)
-        return Term(t.dummies, t.coeff,
-                    t.factors[:idx] + (nf,) + t.factors[idx + 1:], t.deltas)
-    fn = t.coeff.functions[idx]
-    nfn = NamedFunction(fn.name, deriv, fn.var)
-    c = t.coeff
-    funcs = c.functions[:idx] + (nfn,) + c.functions[idx + 1:]
-    return Term(t.dummies, Coefficient(c.scalar, c.h, c.i, c.m, c.divergent, funcs),
-                t.factors, t.deltas)
 
 
 def _measure(t: Term, v: VarId) -> tuple:
@@ -477,25 +438,12 @@ def _occurrence_order(t: Term) -> list[VarId]:
 
 
 def _rename(t: Term, order: list[VarId]) -> Term:
+    """Rename the dummies in `order` to d0, d1, ..."""
     m = {old: dummy(i) for i, old in enumerate(order)}
+    dummies = tuple(m.values())
     if all(k == v for k, v in m.items()):
-        return Term(tuple(dummy(i) for i in range(len(order))),
-                    t.coeff, t.factors, t.deltas)
-
-    def sub(v):
-        if v is None:
-            return None
-        return m.get(v, v)
-
-    factors = tuple(FieldFactor(f.field, f.deriv, sub(f.var)) for f in t.factors)
-    deltas = tuple(DeltaFactor(d.deriv, sub(d.left), sub(d.right))
-                   for d in t.deltas)
-    c = t.coeff
-    if c.functions:
-        funcs = tuple(NamedFunction(fn.name, fn.deriv, sub(fn.var))
-                      for fn in c.functions)
-        c = Coefficient(c.scalar, c.h, c.i, c.m, c.divergent, funcs)
-    return Term(tuple(dummy(i) for i in range(len(order))), c, factors, deltas)
+        return Term(dummies, t.coeff, t.factors, t.deltas)
+    return relabel(t, m, dummies)
 
 
 def _normalize_rep(t: Term, quantum: bool) -> Term:
@@ -526,25 +474,26 @@ def _finalize(t: Term, quantum: bool) -> Term:
     return _normalize_rep(_rename(t, order), quantum)
 
 
+def _accumulate(acc: dict, k, t: Term) -> bool:
+    """Add `t` into acc[k], dropping the entry when the scalars cancel;
+    True when `k` is a new key."""
+    old = acc.get(k)
+    if old is None:
+        acc[k] = t
+        return True
+    s = old.coeff.scalar + t.coeff.scalar
+    if s == 0:
+        del acc[k]
+    else:
+        c = old.coeff
+        acc[k] = Term(old.dummies, Coefficient(s, c.h, c.i, c.m, c.divergent, c.functions),
+                      old.factors, old.deltas)
+    return False
+
+
 def _merge(terms) -> tuple[Term, ...]:
-    acc: dict[tuple, Term] = {}
-    sums: dict[tuple, Fraction] = {}
+    acc: dict = {}
     for t in terms:
-        if t.coeff.is_zero:
-            continue
-        k = t.key()
-        if k in sums:
-            sums[k] += t.coeff.scalar
-        else:
-            sums[k] = t.coeff.scalar
-            acc[k] = t
-    out = []
-    for k, t in acc.items():
-        s = sums[k]
-        if s == 0:
-            continue
-        c = t.coeff
-        out.append(Term(t.dummies, Coefficient(s, c.h, c.i, c.m, c.divergent, c.functions),
-                        t.factors, t.deltas))
-    out.sort(key=lambda t: t.key())
-    return tuple(out)
+        if not t.coeff.is_zero:
+            _accumulate(acc, t.key(), t)
+    return tuple(sorted(acc.values(), key=Term.key))

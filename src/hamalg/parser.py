@@ -49,6 +49,7 @@ from .terms import (
     dummy,
     free_var,
     mi_coerce,
+    relabel,
 )
 
 _TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\d+|[()\[\],;^*/+\-]|\S")
@@ -107,21 +108,14 @@ class _Mono:
     def to_term(self) -> Term:
         # scope ids are allocated across the whole source; terms carry
         # local labels, so rebase each one to its own 0.. sequence
-        ren = {old: dummy(k) for k, old in enumerate(self.dummies)}
-
-        def sub(v):
-            return ren.get(v, v) if v is not None else None
-
-        return Term(
-            tuple(dummy(k) for k in range(len(self.dummies))),
-            Coefficient.make(self.scalar, self.h, self.i, self.m,
-                             self.divergent,
-                             [NamedFunction(f.name, f.deriv, sub(f.var))
-                              for f in self.functions]),
-            tuple(FieldFactor(f.field, f.deriv, sub(f.var)) for f in self.factors),
-            tuple(DeltaFactor(d.deriv, sub(d.left), sub(d.right))
-                  for d in self.deltas),
-        )
+        # (before Coefficient.make sorts the functions by their variables)
+        t = relabel(Term((), Coefficient(self.scalar, functions=tuple(self.functions)),
+                         tuple(self.factors), tuple(self.deltas)),
+                    {old: dummy(k) for k, old in enumerate(self.dummies)},
+                    tuple(map(dummy, range(len(self.dummies)))))
+        return Term(t.dummies, Coefficient.make(self.scalar, self.h, self.i, self.m,
+                                                self.divergent, t.coeff.functions),
+                    t.factors, t.deltas)
 
 
 def _poly_mul(a: list[_Mono], b: list[_Mono]) -> list[_Mono]:

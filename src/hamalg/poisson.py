@@ -30,7 +30,7 @@ from .terms import (
     free_var,
     multiply,
 )
-from .variational import check_symbol, vderiv
+from .variational import _delta_terms_at, check_symbol, vderiv
 
 
 def _test_point(*symbols):
@@ -53,12 +53,10 @@ def bracket(a: Symbol, b: Symbol, check: bool = True) -> Symbol:
     a_phi, a_pi = vderiv(ca, PHI, y), vderiv(ca, PI, y)
     b_phi, b_pi = vderiv(cb, PHI, y), vderiv(cb, PI, y)
     if check:
-        for name, s in (("first operand", (a_phi, a_pi)),
-                        ("second operand", (b_phi, b_pi))):
-            for part in s:
-                if any(d.left == y or d.right == y
-                       for t in part.terms for d in t.deltas):
-                    raise NotASymbolError(f"{name} is not a functional of the fields")
+        for name, parts in (("first operand", (a_phi, a_pi)),
+                            ("second operand", (b_phi, b_pi))):
+            if any(_delta_terms_at(part, y) for part in parts):
+                raise NotASymbolError(f"{name} is not a functional of the fields")
     integrand = multiply(a_pi, b_phi) - multiply(a_phi, b_pi)
     return canonicalize(bind_free(integrand, y))
 

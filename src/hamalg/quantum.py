@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import count
 from math import factorial, prod
 
-from ._rewrite import _diff_once, canonicalize_terms
+from ._rewrite import _accumulate, _diff_once, canonicalize_terms
 from .errors import DivergentLeadingTermError, HamalgError, PreconditionError
 from .parser import format_expression
 from .poisson import bracket
@@ -38,6 +38,7 @@ from .terms import (
     Term,
     ZERO,
     canonicalize,
+    concat,
     delta,
     free_var,
     make_term,
@@ -45,8 +46,8 @@ from .terms import (
     mi_add,
     phi,
     pi_,
+    relabel,
     shift_dummies,
-    subst_var,
     symbol,
 )
 from .variational import require_symbol
@@ -156,18 +157,8 @@ def quantize(s: Symbol, scheme: str = "normal") -> OperatorExpression:
 
 def op_multiply(a: OperatorExpression, b: OperatorExpression) -> OperatorExpression:
     """Concatenate words pairwise; integration dummies stay disjoint."""
-    out = []
-    for ta in a.terms:
-        offset = max((v.index for v in ta.dummies), default=-1) + 1
-        for tb in b.terms:
-            tb2 = shift_dummies(tb, offset)
-            out.append(Term(
-                ta.dummies + tb2.dummies,
-                ta.coeff.mul(tb2.coeff),
-                ta.factors + tb2.factors,
-                ta.deltas + tb2.deltas,
-            ))
-    return op_canonicalize(OperatorExpression(tuple(out)))
+    return op_canonicalize(OperatorExpression(
+        tuple(concat(ta, tb) for ta in a.terms for tb in b.terms)))
 
 
 # -- normal ordering -----------------------------------------------------------
@@ -224,11 +215,15 @@ def ccr_reduce(e: OperatorExpression,
     a normal-ordered word the fields commute exactly, as do the momenta, so
     the two blocks are sorted.
 
-    Pending terms merge their scalars on push and are rewritten in
-    decreasing order of (word length, momentum-before-field inversions).  A
-    rewrite step either keeps the length and removes exactly one inversion
-    or shortens the word by two, so every contribution to a word has merged
-    before that word is rewritten, and each distinct word is rewritten once.
+    Pending terms merge their scalars on push (the rewrite engine's
+    _accumulate, which drops a key whose scalars cancel) and are rewritten
+    in decreasing order of (word length, momentum-before-field inversions).
+    A rewrite step either keeps the length and removes exactly one inversion
+    or shortens the word by two, so every contribution to a word comes from
+    a strictly higher word and has merged before that word is rewritten, and
+    each distinct word is rewritten once.  A key that cancels and is pushed
+    again leaves a stale heap entry of the same priority: whichever entry
+    pops first rewrites the live term, the other finds nothing.
     """
     pending: dict = {}
     heap = []
@@ -237,24 +232,16 @@ def ccr_reduce(e: OperatorExpression,
 
     def push(t):
         k = (t.dummies, t.key())
-        old = pending.get(k)
-        if old is None:
-            pending[k] = t
+        if _accumulate(pending, k, t):
             heapq.heappush(heap, (-len(t.factors), -_inversions(t.factors),
                                   next(tiebreak), k))
-            return
-        c = old.coeff
-        pending[k] = Term(old.dummies,
-                          Coefficient(c.scalar + t.coeff.scalar, c.h, c.i, c.m,
-                                      c.divergent, c.functions),
-                          old.factors, old.deltas)
 
     for t in e.terms:
         push(t)
     done = []
     while heap:
-        t = pending.pop(heapq.heappop(heap)[-1])
-        if t.coeff.is_zero:
+        t = pending.pop(heapq.heappop(heap)[-1], None)
+        if t is None or t.coeff.is_zero:
             continue
         step = _bubble(t)
         if step is None:
@@ -502,7 +489,7 @@ def leibniz_residual(f_name: str = "f", g_name: str = "g") -> LeibnizResidualRep
     residual = _anchor(diff, dropped)
     if kept != xv:
         residual = OperatorExpression(canonicalize_terms(
-            tuple(subst_var(t, kept, xv) for t in residual.terms), quantum=True))
+            tuple(relabel(t, {kept: xv}) for t in residual.terms), quantum=True))
     combination = forget_order(formal_scale(residual, h=-2, i=-2))
     check = delta_square_defect()
     return LeibnizResidualReport(

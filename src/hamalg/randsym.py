@@ -14,12 +14,12 @@ from .terms import (
     Symbol,
     Term,
     canonicalize,
+    concat,
     dummy,
     make_term,
     named,
     phi,
     pi_,
-    shift_dummies,
 )
 
 _SCALARS = [Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
@@ -64,9 +64,7 @@ class RandomSymbolGenerator:
         pis = grade if grade is not None else rng.randint(0, min(self.max_grade, total))
         pa = rng.randint(max(0, pis - nb), min(na, pis))
         ta = self._integral_term(na, pa)
-        tb = shift_dummies(self._integral_term(nb, pis - pa), 1)
-        return Term(ta.dummies + tb.dummies, ta.coeff.mul(tb.coeff),
-                    ta.factors + tb.factors, ())
+        return concat(ta, self._integral_term(nb, pis - pa))
 
     # -- public corpus ------------------------------------------------------
 

@@ -80,10 +80,6 @@ def mi_coerce(order: Union[int, Sequence[int], None]) -> MultiIndex:
     return mi
 
 
-def mi_zero() -> MultiIndex:
-    return (0,) * SESSION.dimension
-
-
 def mi_unit(axis: int) -> MultiIndex:
     n = SESSION.dimension
     return tuple(1 if a == axis else 0 for a in range(n))
@@ -319,18 +315,21 @@ def symbol(*terms: Term) -> Symbol:
 
 # -- variable plumbing shared by the rewrite engine ----------------------------
 
-def subst_var(t: Term, old: VarId, new: VarId) -> Term:
-    """Replace `old` by `new` in every factor; dummies list is untouched."""
-    def sub(v): return new if v == old else v
+def relabel(t: Term, m: dict, dummies=None) -> Term:
+    """Substitute every variable in `m` at once, in factors, functions and
+    both delta arguments; the dummy list is mapped too unless `dummies`
+    replaces it."""
+    get = m.get
+    c = t.coeff
+    if c.functions:
+        c = Coefficient(c.scalar, c.h, c.i, c.m, c.divergent,
+                        tuple(NamedFunction(f.name, f.deriv, get(f.var, f.var))
+                              for f in c.functions))
     return Term(
-        t.dummies,
-        Coefficient(
-            t.coeff.scalar, t.coeff.h, t.coeff.i, t.coeff.m, t.coeff.divergent,
-            tuple(NamedFunction(f.name, f.deriv, sub(f.var)) for f in t.coeff.functions),
-        ),
-        tuple(FieldFactor(f.field, f.deriv, sub(f.var)) for f in t.factors),
-        tuple(DeltaFactor(d.deriv, sub(d.left),
-                          None if d.right is None else sub(d.right))
+        tuple(get(v, v) for v in t.dummies) if dummies is None else dummies,
+        c,
+        tuple(FieldFactor(f.field, f.deriv, get(f.var, f.var)) for f in t.factors),
+        tuple(DeltaFactor(d.deriv, get(d.left, d.left), get(d.right, d.right))
               for d in t.deltas),
     )
 
@@ -339,12 +338,15 @@ def shift_dummies(t: Term, offset: int) -> Term:
     """Relabel every dummy index by +offset (used to keep products disjoint)."""
     if offset == 0 or not t.dummies:
         return t
-    out = t
-    # walk from the highest index down so renames never collide
-    for v in sorted(t.dummies, key=lambda v: -v.index):
-        out = subst_var(out, v, dummy(v.index + offset))
-    return Term(tuple(dummy(v.index + offset) for v in t.dummies),
-                out.coeff, out.factors, out.deltas)
+    return relabel(t, {v: dummy(v.index + offset) for v in t.dummies})
+
+
+def concat(ta: Term, tb: Term) -> Term:
+    """Product of two terms, `tb`'s dummies shifted past `ta`'s; factor
+    words concatenate in order."""
+    tb = shift_dummies(tb, max((v.index for v in ta.dummies), default=-1) + 1)
+    return Term(ta.dummies + tb.dummies, ta.coeff.mul(tb.coeff),
+                ta.factors + tb.factors, ta.deltas + tb.deltas)
 
 
 def bind_free(s: Symbol, var: VarId) -> Symbol:
@@ -354,8 +356,7 @@ def bind_free(s: Symbol, var: VarId) -> Symbol:
     out = []
     for t in s.terms:
         d = dummy(max((v.index for v in t.dummies), default=-1) + 1)
-        t2 = subst_var(t, var, d)
-        out.append(Term(t.dummies + (d,), t2.coeff, t2.factors, t2.deltas))
+        out.append(relabel(t, {var: d}, t.dummies + (d,)))
     return Symbol(tuple(out))
 
 
@@ -369,18 +370,8 @@ def canonicalize(s: Symbol) -> Symbol:
 def multiply(a: Symbol, b: Symbol) -> Symbol:
     """Product of functionals; integration dummies are kept disjoint."""
     from . import _rewrite
-    out = []
-    for ta in a.terms:
-        offset = max((v.index for v in ta.dummies), default=-1) + 1
-        for tb in b.terms:
-            tb2 = shift_dummies(tb, offset)
-            out.append(Term(
-                ta.dummies + tb2.dummies,
-                ta.coeff.mul(tb2.coeff),
-                ta.factors + tb2.factors,
-                ta.deltas + tb2.deltas,
-            ))
-    return Symbol(_rewrite.canonicalize_terms(tuple(out), quantum=False))
+    return Symbol(_rewrite.canonicalize_terms(
+        tuple(concat(ta, tb) for ta in a.terms for tb in b.terms), quantum=False))
 
 
 def equals(a: Symbol, b: Symbol) -> bool:

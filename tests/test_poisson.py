@@ -1,8 +1,11 @@
 """Poisson bracket and the grading theorem."""
 
-from hamalg import (RandomSymbolGenerator, bracket, canonicalize,
-                    check_algebra, equals, grade, grade_decompose, multiply,
-                    parse_symbol)
+import pytest
+
+from hamalg import (LatticeConfig, NotASymbolError, RandomSymbolGenerator,
+                    bracket, canonicalize, check_algebra, cli, equals, grade,
+                    grade_decompose, multiply, parse_symbol, quantize,
+                    verify_bracket)
 from hamalg.parser import format_expression
 
 
@@ -94,3 +97,25 @@ def test_check_algebra_clean_run():
     d = rep.to_dict()
     assert d["passed"] is True
     assert "seconds" not in str(d)
+
+
+NON_SYMBOLS = ("phi(y)", "int[x](phi(x)*delta(x-y))")
+SYMBOL = "int[x]( phi(x)^2 )"
+
+
+@pytest.mark.parametrize("text", NON_SYMBOLS)
+def test_non_symbols_are_refused(text, capsys):
+    bad, good = P(text), P(SYMBOL)
+    grids = [LatticeConfig(64)]
+    for a, b in ((bad, good), (good, bad)):
+        with pytest.raises(NotASymbolError):
+            bracket(a, b)
+        with pytest.raises(NotASymbolError):
+            verify_bracket(a, b, grids)
+    with pytest.raises(NotASymbolError):
+        quantize(bad)
+    for argv in (["bracket", text, SYMBOL], ["bracket", SYMBOL, text],
+                 ["lattice", "verify", text, SYMBOL, "--n", "64"]):
+        capsys.readouterr()
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")

@@ -221,3 +221,21 @@ def test_cli_reports_the_weyl_word_limit(capsys):
     code = cli.main(["quantize", BEYOND_LIMIT, "--scheme", "weyl"])
     assert code == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_ccr_reduce_skips_the_entry_of_a_cancelled_key(monkeypatch):
+    # the first two terms cancel, and bubbling the third pushes their key
+    # again, so the heap holds a stale entry for it
+    e = parse_operator("qint[x](Phi(x)*Pi(x)) - qint[x](Phi(x)*Pi(x))"
+                       " + qint[x](Pi(x)*Phi(x))")
+    want = ccr_reduce(parse_operator("qint[x](Pi(x)*Phi(x))"))
+    seen = []
+    bubble = quantum._bubble
+
+    def recording(t):
+        seen.append((t.dummies, t.key()))
+        return bubble(t)
+
+    monkeypatch.setattr(quantum, "_bubble", recording)
+    assert ccr_reduce(e) == want
+    assert len(seen) == len(set(seen)) == 3

@@ -7,9 +7,10 @@ import pytest
 from hamalg import (CoincidentDeltaError, Coefficient, DeltaFactor,
                     FieldFactor, HamalgError, MaxDerivativeError,
                     NamedFunction, ParseError, RandomSymbolGenerator, Symbol,
-                    Term, ZERO, canonicalize, delta, dummy, equals, make_term,
-                    multiply, named, parse_symbol, phi, pi_)
+                    Term, ZERO, canonicalize, delta, dummy, equals, free_var,
+                    make_term, multiply, named, parse_symbol, phi, pi_)
 from hamalg import _rewrite
+from hamalg.terms import concat, relabel, shift_dummies
 from hamalg.parser import format_expression
 
 
@@ -197,3 +198,39 @@ def test_relabeling_refuses_a_delta_linking_dummies():
                   deltas=(delta(d0, d1),))
     with pytest.raises(HamalgError, match="delta"):
         _rewrite._finalize(t, False)
+
+
+def test_relabel_substitutes_simultaneously():
+    d0, d1, x = dummy(0), dummy(1), free_var("x")
+    t = make_term(3, dummies=(d0, d1),
+                  factors=(phi(d0), pi_(d1, 1)),
+                  functions=(named("f", d0), named("g", d1, 1)),
+                  deltas=(delta(d0, x), delta(x, d1, 2), delta(d0, d1, 1)))
+    want = make_term(3, dummies=(d1, d0),
+                     factors=(phi(d1), pi_(d0, 1)),
+                     functions=(named("f", d1), named("g", d0, 1)),
+                     deltas=(delta(d1, x), delta(x, d0, 2), delta(d1, d0, 1)))
+    assert relabel(t, {d0: d1, d1: d0}) == want
+    kept = relabel(t, {d0: d1, d1: d0}, dummies=(d0, d1))
+    assert kept.dummies == (d0, d1) and kept.factors == want.factors
+
+
+def test_shift_dummies_overlapping_ranges():
+    d = [dummy(k) for k in range(4)]
+    t = make_term(1, dummies=d[:3],
+                  factors=(phi(d[0]), pi_(d[1]), phi(d[2], 1)),
+                  functions=(named("f", d[1]),),
+                  deltas=(delta(d[0], d[2]), delta(d[1], None, 1)))
+    want = make_term(1, dummies=d[1:],
+                     factors=(phi(d[1]), pi_(d[2]), phi(d[3], 1)),
+                     functions=(named("f", d[2]),),
+                     deltas=(delta(d[1], d[3]), delta(d[2], None, 1)))
+    assert shift_dummies(t, 1) == want
+
+
+def test_concat_keeps_dummies_disjoint_and_words_in_order():
+    d0, d1 = dummy(0), dummy(1)
+    ta = make_term(2, dummies=(d0,), factors=(pi_(d0), phi(d0)))
+    tb = make_term(3, dummies=(d0,), factors=(phi(d0, 1),))
+    assert concat(ta, tb) == make_term(6, dummies=(d0, d1),
+                                       factors=(pi_(d0), phi(d0), phi(d1, 1)))
