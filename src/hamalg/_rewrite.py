@@ -13,7 +13,10 @@ Pipeline per term (first applicable rule fires, results re-enter the queue):
    (1 for order 0, 0 otherwise);
 5. contraction: a delta with at least one integration-dummy argument is
    eliminated against the rest of the term, transferring its derivative by
-   integration by parts;
+   integration by parts; the derivative of the remaining product comes from
+   the multinomial Leibniz rule, D^k(u_1...u_r) = sum over j_1 + ... + j_r = k
+   of k!/(j_1!...j_r!) D^j_1 u_1 ... D^j_r u_r, one term per split rather
+   than one per path of single product-rule steps;
 6. orphaned integration variables: the formal volume constant, in both
    modes ({int phi, int pi} = -vol classically);
 7. argument transfer across free-variable deltas (binomial identity), so
@@ -31,16 +34,19 @@ dummies and dummies with equal signatures swap freely; the relabeling checks
 that invariant and raises if it fails.
 
 Every rule rebuilds terms through the same few edits: terms.relabel renames
-variables, _set_slot changes the order (or the point) of one factor or
-coefficient function, and _accumulate adds like terms by key, both at push
-and in the final merge (quantum.ccr_reduce merges its queue with it too).
+variables; _edit_slots, the one slot edit, shifts the orders of several
+factors, coefficient functions or deltas (and moves a factor or function to
+another point) in one rebuild, for differentiation, integration by parts,
+argument transfer and quantum._d_dx alike; and _accumulate adds like terms by
+key, both at push and in the final merge (quantum.ccr_reduce merges its queue
+with it too).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, factorial, prod
 
 from .errors import (CoincidentDeltaError, HamalgError,
                      UnsupportedDivergenceError)
@@ -229,51 +235,61 @@ def _slots(t: Term, v: VarId):
     return out
 
 
-def _slot_piece(t: Term, slot):
-    """The field factor or coefficient function at a ("factor"|"func", idx) slot."""
-    kind, idx = slot
-    return t.factors[idx] if kind == "factor" else t.coeff.functions[idx]
-
-
-def _set_slot(t: Term, slot, deriv, var=None) -> Term:
-    """`t` with the piece at `slot` given order `deriv` (and moved to `var`)."""
-    kind, idx = slot
-    p = _slot_piece(t, slot)
-    if var is None:
-        var = p.var
-    if kind == "factor":
-        nf = FieldFactor(p.field, deriv, var)
-        return Term(t.dummies, t.coeff,
-                    t.factors[:idx] + (nf,) + t.factors[idx + 1:], t.deltas)
+def _edit_slots(t: Term, by: dict, q=1, var=None) -> Term:
+    """`q` times `t`, with the multi-index by[slot] added to the order of the
+    factor, coefficient function or delta at each slot (mi_add bounds the
+    result), all in one rebuild; `var` moves the edited factors and
+    functions, not the deltas, to that point."""
     c = t.coeff
-    funcs = c.functions[:idx] + (NamedFunction(p.name, deriv, var),) + c.functions[idx + 1:]
-    return Term(t.dummies, Coefficient(c.scalar, c.h, c.i, c.m, c.divergent, funcs),
-                t.factors, t.deltas)
+    pieces = {"factor": list(t.factors), "func": list(c.functions),
+              "delta": list(t.deltas)}
+    for slot, j in by.items():
+        kind, idx = slot[0], slot[1]
+        p = pieces[kind][idx]
+        deriv = mi_add(p.deriv, j)
+        if kind == "delta":
+            p = DeltaFactor(deriv, p.left, p.right)
+        elif kind == "factor":
+            p = FieldFactor(p.field, deriv, p.var if var is None else var)
+        else:
+            p = NamedFunction(p.name, deriv, p.var if var is None else var)
+        pieces[kind][idx] = p
+    scalar = c.scalar if q == 1 else c.scalar * q
+    return Term(t.dummies,
+                Coefficient(scalar, c.h, c.i, c.m, c.divergent, tuple(pieces["func"])),
+                tuple(pieces["factor"]), tuple(pieces["delta"]))
 
 
-def _apply_d_slot(t: Term, slot, axis: int) -> Term:
-    """Differentiate one slot of `t` along `axis` (product-rule summand)."""
-    e = mi_unit(axis)
-    if slot[0] != "delta":
-        return _set_slot(t, slot, mi_add(_slot_piece(t, slot).deriv, e))
-    idx, side = slot[1], slot[2]
-    d = t.deltas[idx]
-    nd = DeltaFactor(mi_add(d.deriv, e), d.left, d.right)
-    sign = 1 if side == "left" else -1
-    return Term(t.dummies, t.coeff.scale(sign),
-                t.factors, t.deltas[:idx] + (nd,) + t.deltas[idx + 1:])
-
-
-def _diff_once(t: Term, v: VarId, axis: int) -> list[Term]:
-    return [_apply_d_slot(t, s, axis) for s in _slots(t, v)]
+def _compositions(n: int, r: int):
+    """Every way of writing `n` as an ordered sum of `r` parts >= 0."""
+    if r == 0:
+        if n == 0:
+            yield ()
+        return
+    for first in range(n, -1, -1):
+        for rest in _compositions(n - first, r - 1):
+            yield (first,) + rest
 
 
 def _diff_multi(t: Term, v: VarId, k) -> list[Term]:
-    terms = [t]
-    for axis, reps in enumerate(k):
-        for _ in range(reps):
-            terms = [nt for tt in terms for nt in _diff_once(tt, v, axis)]
-    return terms
+    """D^k of `t` in `v` by the multinomial Leibniz rule: one term for each
+    split j_1 + ... + j_r = k over the slots at `v`, weighted by
+    k!/(j_1!...j_r!); a delta with `v` on its right gives (-1)^|j|."""
+    if not any(k):
+        return [t]
+    slots = _slots(t, v)
+    kfact = prod(map(factorial, k))
+    out = []
+    for split in product(*(_compositions(a, len(slots)) for a in k)):
+        w, sign, by = kfact, 1, {}
+        for slot, j in zip(slots, zip(*split)):
+            if any(j):
+                by[slot] = j
+                w //= prod(map(factorial, j))
+                if slot[0] == "delta" and slot[2] == "right" and sum(j) % 2:
+                    sign = -sign
+        out.append(_edit_slots(t, by, sign * w))
+    return out
 
 
 # -- contraction ----------------------------------------------------------------
@@ -290,10 +306,10 @@ def _contract(t: Term, quantum: bool):
         keep = d.right if v == d.left else d.left
         sign = 1 if v == d.right else (-1) ** mi_abs(d.deriv)
         idx = t.deltas.index(d)
-        stripped = Term(t.dummies, t.coeff, t.factors,
+        stripped = Term(t.dummies, t.coeff.scale(sign), t.factors,
                         t.deltas[:idx] + t.deltas[idx + 1:])
         dummies = tuple(x for x in t.dummies if x != v)
-        return [_scale_term(relabel(tt, {v: keep}, dummies), sign)
+        return [relabel(tt, {v: keep}, dummies)
                 for tt in _diff_multi(stripped, v, d.deriv)]
     return None
 
@@ -322,18 +338,10 @@ def _transfer(t: Term):
         keys = _ibp_keys(t, d.right)
         if not keys:
             continue
-        _, base, slot = keys[0]
-        k = d.deriv
-        out = []
-        for j in product(*(range(a + 1) for a in k)):
-            w = 1
-            for a, b in zip(k, j):
-                w *= comb(a, b)
-            nd = DeltaFactor(tuple(a - b for a, b in zip(k, j)), d.left, d.right)
-            moved = _set_slot(t, slot, mi_add(base, j), d.left)
-            out.append(Term(t.dummies, moved.coeff.scale(w), moved.factors,
-                            t.deltas[:didx] + (nd,) + t.deltas[didx + 1:]))
-        return out
+        slot = keys[0][2]
+        return [_edit_slots(t, {("delta", didx): tuple(-b for b in j), slot: j},
+                            prod(map(comb, d.deriv, j)), d.left)
+                for j in product(*(range(a + 1) for a in d.deriv))]
     return None
 
 
@@ -382,18 +390,15 @@ def _ibp(t: Term, quantum: bool):
         p = len(grouped)
         rslots = [k[2] for k in keys
                   if k[2] != top_slot and k[2] not in grouped]
-        lowered = _set_slot(t, top_slot, Km)
+        e = mi_unit(axis)
+        down = tuple(-a for a in e)
         scale = Fraction(-1, p + 1)
-        new_terms = [_scale_term(_apply_d_slot(lowered, s, axis), scale)
+        new_terms = [_edit_slots(t, {top_slot: down, s: e}, scale)
                      for s in rslots]
         old_measure = _measure(t, v)
         if all(_measure(nt, v) < old_measure for nt in new_terms):
             return new_terms
     return None
-
-
-def _scale_term(t: Term, q) -> Term:
-    return Term(t.dummies, t.coeff.scale(q), t.factors, t.deltas)
 
 
 def _measure(t: Term, v: VarId) -> tuple:
@@ -448,18 +453,19 @@ def _rename(t: Term, order: list[VarId]) -> Term:
 
 def _normalize_rep(t: Term, quantum: bool) -> Term:
     """Orient deltas (smaller variable first) and sort what is sortable."""
-    sign = 1
+    c = t.coeff
+    scalar = c.scalar
     deltas = []
     for d in t.deltas:
         if d.right is not None and d.left.key() > d.right.key():
             deltas.append(DeltaFactor(d.deriv, d.right, d.left))
-            sign *= (-1) ** mi_abs(d.deriv)
+            if mi_abs(d.deriv) % 2:
+                scalar = -scalar
         else:
             deltas.append(d)
     deltas = tuple(sorted(deltas, key=lambda d: d.key()))
     factors = t.factors if quantum else tuple(sorted(t.factors, key=lambda f: f.key()))
-    c = t.coeff
-    coeff = Coefficient.make(c.scalar * sign, c.h, c.i, c.m, c.divergent, c.functions)
+    coeff = Coefficient.make(scalar, c.h, c.i, c.m, c.divergent, c.functions)
     return Term(t.dummies, coeff, factors, deltas)
 
 

@@ -196,10 +196,16 @@ class _Parser:
             monos = out
         return monos
 
-    @staticmethod
-    def _copy_mono(m: _Mono) -> _Mono:
-        return _Mono(m.scalar, m.h, m.i, m.m, list(m.divergent), list(m.functions),
-                     list(m.factors), list(m.deltas), list(m.dummies))
+    def _copy_mono(self, m: _Mono) -> _Mono:
+        # each copy binds fresh dummies, so a power of an integral is a
+        # product of independent integrals
+        fresh = {v: dummy(self.dummy_counter + k) for k, v in enumerate(m.dummies)}
+        self.dummy_counter += len(fresh)
+        t = relabel(Term((), Coefficient(m.scalar, functions=tuple(m.functions)),
+                         tuple(m.factors), tuple(m.deltas)), fresh, ())
+        return _Mono(m.scalar, m.h, m.i, m.m, list(m.divergent),
+                     list(t.coeff.functions), list(t.factors), list(t.deltas),
+                     list(fresh.values()))
 
     def parse_order(self):
         if self.peek().type == "[":

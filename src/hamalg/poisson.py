@@ -23,7 +23,6 @@ from .terms import (
     PHI,
     PI,
     Symbol,
-    ZERO,
     bind_free,
     canonicalize,
     equals,

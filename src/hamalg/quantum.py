@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import count
 from math import factorial, prod
 
-from ._rewrite import _accumulate, _diff_once, canonicalize_terms
+from ._rewrite import _accumulate, _diff_multi, canonicalize_terms
 from .errors import DivergentLeadingTermError, HamalgError, PreconditionError
 from .parser import format_expression
 from .poisson import bracket
@@ -44,6 +44,7 @@ from .terms import (
     make_term,
     mi_abs,
     mi_add,
+    mi_unit,
     phi,
     pi_,
     relabel,
@@ -395,7 +396,8 @@ def _anchor(e, var):
 
 
 def _d_dx(s: Symbol, var, axis: int = 0) -> Symbol:
-    return Symbol(tuple(nt for t in s.terms for nt in _diff_once(t, var, axis)))
+    return Symbol(tuple(nt for t in s.terms
+                        for nt in _diff_multi(t, var, mi_unit(axis))))
 
 
 def _pool_anchored(s: Symbol) -> Symbol:

@@ -18,9 +18,9 @@ ordered word of field operators and its order is significant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 from .errors import MaxDerivativeError
 from .session import SESSION
@@ -177,15 +177,17 @@ class Coefficient:
 
     @staticmethod
     def make(scalar, h=0, i=0, m=0, divergent=(), functions=()) -> "Coefficient":
-        scalar = Fraction(scalar)
+        if type(scalar) is not Fraction:
+            scalar = Fraction(scalar)
         # i^2 = -1 folds into the scalar sign; i stays in {0, 1}
         i = int(i)
-        sign = -1 if (i % 4) in (2, 3) else 1
+        if (i % 4) in (2, 3):
+            scalar = -scalar
         i = i % 2
         if scalar == 0:
             return Coefficient(Fraction(0))
         return Coefficient(
-            scalar * sign, int(h), i, int(m),
+            scalar, int(h), i, int(m),
             tuple(sorted(divergent, key=lambda d: d.key())),
             tuple(sorted(functions, key=lambda f: f.key())),
         )
@@ -201,8 +203,14 @@ class Coefficient:
         )
 
     def scale(self, q) -> "Coefficient":
-        return Coefficient.make(self.scalar * Fraction(q), self.h, self.i,
-                                self.m, self.divergent, self.functions)
+        # only the scalar changes, so the formal parts keep the order make
+        # gave them and are not sorted again; a non-rational q is made exact
+        s = self.scalar * q
+        if type(s) is not Fraction:
+            s = Fraction(self.scalar) * Fraction(q)
+        if s == 0:
+            return Coefficient(Fraction(0))
+        return Coefficient(s, self.h, self.i, self.m, self.divergent, self.functions)
 
     def times_formal(self, h=0, i=0, divergent=()) -> "Coefficient":
         return Coefficient.make(self.scalar, self.h + h, self.i + i, self.m,

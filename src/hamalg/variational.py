@@ -12,10 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotASymbolError
-from .session import SESSION
 from .terms import (
     DeltaFactor,
-    FieldFactor,
     PHI,
     PI,
     Symbol,

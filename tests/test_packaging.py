@@ -1,5 +1,7 @@
-"""The declared runtime dependencies are installed and satisfy their pins."""
+"""The declared runtime dependencies are installed and satisfy their pins,
+and the program modules import nothing they do not use."""
 
+import ast
 import importlib.metadata
 import tomllib
 from pathlib import Path
@@ -15,3 +17,26 @@ def test_runtime_dependencies_are_installed():
         req = Requirement(spec)
         version = importlib.metadata.version(req.name)
         assert req.specifier.contains(version, prereleases=True), (spec, version)
+
+
+def _imported_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def test_no_unused_imports():
+    # __init__.py is skipped: its imports are the package's re-exports
+    unused = []
+    for path in sorted((PYPROJECT.parent / "src" / "hamalg").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += [f"{path.name}:{line}: {name}"
+                   for name, line in _imported_names(tree) if name not in used]
+    assert not unused, unused

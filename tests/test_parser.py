@@ -82,3 +82,16 @@ def test_mass_powers_format():
 def test_equals_ignores_formatting_noise():
     assert equals(parse_symbol("int[ x ]( phi( x ) * pi( x ) )"),
                   parse_symbol("int[y](pi(y)*phi(y))"))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_power_of_an_integral_binds_fresh_dummies(k):
+    one = "int[x](f(x)*phi(x))"
+    names = ["x", "y", "z"][:k]
+    product = "*".join(f"int[{v}](f({v})*phi({v}))" for v in names)
+    assert equals(parse_symbol(f"({one})^{k}"), parse_symbol(product))
+    assert equals(parse_symbol(f"({one} + phi(u))^{k}"),
+                  parse_symbol("*".join([f"({one} + phi(u))"] * k)))
+    want = "int[" + ",".join(names) + "]( " + "*".join(
+        [f"f({v})" for v in names] + [f"phi({v})" for v in names]) + " )"
+    assert format_expression(canonicalize(parse_symbol(f"({one})^{k}"))) == want

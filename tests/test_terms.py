@@ -1,16 +1,20 @@
 """Canonical form and term algebra."""
 
 import random
+from fractions import Fraction
+from math import comb
 
 import pytest
 
-from hamalg import (CoincidentDeltaError, Coefficient, DeltaFactor,
-                    FieldFactor, HamalgError, MaxDerivativeError,
-                    NamedFunction, ParseError, RandomSymbolGenerator, Symbol,
-                    Term, ZERO, canonicalize, delta, dummy, equals, free_var,
-                    make_term, multiply, named, parse_symbol, phi, pi_)
+from hamalg import (SESSION, CoincidentDeltaError, Coefficient, DeltaFactor,
+                    DivergentConstant, FieldFactor, HamalgError,
+                    MaxDerivativeError, NamedFunction, ParseError,
+                    RandomSymbolGenerator, Symbol, Term, ZERO, canonicalize,
+                    delta, dummy, equals, free_var, make_term, multiply,
+                    named, parse_symbol, phi, pi_)
 from hamalg import _rewrite
-from hamalg.terms import concat, relabel, shift_dummies
+from hamalg.terms import (DELTA_AT_ZERO, INT_DELTA_SQ, VOLUME, concat,
+                          relabel, shift_dummies)
 from hamalg.parser import format_expression
 
 
@@ -234,3 +238,126 @@ def test_concat_keeps_dummies_disjoint_and_words_in_order():
     tb = make_term(3, dummies=(d0,), factors=(phi(d0, 1),))
     assert concat(ta, tb) == make_term(6, dummies=(d0, d1),
                                        factors=(pi_(d0), phi(d0), phi(d1, 1)))
+
+
+# -- differentiation by the multinomial Leibniz rule ---------------------------
+
+
+def d_step(t, v, axis):
+    """One product-rule step D_axis of `t` in `v`, the reference for
+    _diff_multi: one term per slot, a delta with `v` on its right negated."""
+    def up(mi):
+        return tuple(a + (ax == axis) for ax, a in enumerate(mi))
+
+    c = t.coeff
+    out = []
+    for i, f in enumerate(t.factors):
+        if f.var == v:
+            fs = t.factors[:i] + (FieldFactor(f.field, up(f.deriv), v),) + t.factors[i + 1:]
+            out.append(Term(t.dummies, c, fs, t.deltas))
+    for i, fn in enumerate(c.functions):
+        if fn.var == v:
+            fns = c.functions[:i] + (NamedFunction(fn.name, up(fn.deriv), v),) + c.functions[i + 1:]
+            out.append(Term(t.dummies, Coefficient(c.scalar, c.h, c.i, c.m, c.divergent, fns),
+                            t.factors, t.deltas))
+    for i, d in enumerate(t.deltas):
+        if d.left == d.right:
+            continue  # coincident: a constant
+        for side, sign in ((d.left, 1), (d.right, -1)):
+            if side == v:
+                ds = t.deltas[:i] + (DeltaFactor(up(d.deriv), d.left, d.right),) + t.deltas[i + 1:]
+                out.append(Term(t.dummies, Coefficient(c.scalar * sign, c.h, c.i, c.m,
+                                                       c.divergent, c.functions),
+                                t.factors, ds))
+    return out
+
+
+def d_paths(t, v, k):
+    terms = [t]
+    for axis, reps in enumerate(k):
+        for _ in range(reps):
+            terms = [nt for tt in terms for nt in d_step(tt, v, axis)]
+    return terms
+
+
+def op_canon(terms):
+    # operator mode keeps coincident deltas as formal constants
+    return _rewrite.canonicalize_terms(tuple(terms), quantum=True)
+
+
+def leibniz_cases():
+    x, u, w = free_var("x"), free_var("u"), free_var("w")
+    return x, [
+        make_term(2, factors=(phi(x), phi(x), pi_(x), phi(u))),
+        make_term(-3, factors=(phi(x, 1), pi_(x)), functions=(named("f", x),)),
+        make_term(1, factors=(phi(x),), deltas=(delta(x, u), delta(w, x, 1))),
+        make_term(Fraction(1, 2), factors=(pi_(x),),
+                  deltas=(delta(x, x, 1), delta(x, None, 2))),
+        make_term(5, factors=(phi(x), phi(x, 1), pi_(u)),
+                  functions=(named("g", x, 1),),
+                  deltas=(delta(x, u, 1), delta(w, x), delta(x, x), delta(x, None))),
+    ]
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_diff_multi_matches_repeated_product_rule(n):
+    x, cases = leibniz_cases()
+    for t in cases:
+        got = _rewrite._diff_multi(t, x, (n,))
+        want = d_paths(t, x, (n,))
+        assert op_canon(got) == op_canon(want)
+        assert len(got) <= len(want)
+
+
+def test_diff_multi_in_two_dimensions():
+    saved = SESSION.dimension
+    SESSION.dimension = 2
+    try:
+        x, u = free_var("x"), free_var("u")
+        t = make_term(3, factors=(phi(x), phi(x, (1, 0)), pi_(x, (0, 1))),
+                      functions=(named("f", x),),
+                      deltas=(delta(u, x, (0, 1)), delta(x, None, (1, 0))))
+        got = _rewrite._diff_multi(t, x, (2, 1))
+        assert op_canon(got) == op_canon(d_paths(t, x, (2, 1)))
+        assert len(got) == comb(2 + 5, 5) * comb(1 + 5, 5)
+    finally:
+        SESSION.dimension = saved
+
+
+@pytest.mark.parametrize("r", range(1, 5))
+def test_diff_multi_gives_one_term_per_split(r):
+    x = free_var("x")
+    pieces = [phi(x), pi_(x), phi(x, 1), delta(free_var("u"), x)]
+    factors = [p for p in pieces[:r] if isinstance(p, FieldFactor)]
+    t = make_term(1, factors=factors, deltas=[p for p in pieces[:r] if p not in factors])
+    for n in range(6):
+        assert len(_rewrite._diff_multi(t, x, (n,))) == comb(n + r - 1, r - 1)
+
+
+def test_diff_multi_keeps_the_order_bound():
+    x = free_var("x")
+    top = SESSION.max_derivative_order
+    t = make_term(1, factors=(phi(x), phi(x, top - 1)))
+    with pytest.raises(MaxDerivativeError):
+        _rewrite._diff_multi(t, x, (2,))
+    assert len(_rewrite._diff_multi(t, x, (1,))) == 2
+
+
+# -- coefficient arithmetic -----------------------------------------------------
+
+
+@pytest.mark.parametrize("q", [3, -1, Fraction(-2, 3), 0, Fraction(0), 0.5])
+def test_scale_matches_make(q):
+    # scale keeps the formal parts and builds no new sort; make's result
+    # is the reference, and the scalar stays exact
+    x, y = free_var("x"), free_var("y")
+    for c in (Coefficient.make(Fraction(5, 7), h=1, i=1, m=2,
+                               divergent=(DivergentConstant(VOLUME),
+                                          DivergentConstant(DELTA_AT_ZERO, (1,)),
+                                          DivergentConstant(INT_DELTA_SQ)),
+                               functions=(named("g", y, 1), named("f", x))),
+              Coefficient.make(-4)):
+        got = c.scale(q)
+        assert got == Coefficient.make(c.scalar * Fraction(q), c.h, c.i, c.m,
+                                       c.divergent, c.functions)
+        assert type(got.scalar) is Fraction
