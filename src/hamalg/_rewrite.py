@@ -33,13 +33,15 @@ contraction leaves no two-argument delta on a dummy, so nothing links two
 dummies and dummies with equal signatures swap freely; the relabeling checks
 that invariant and raises if it fails.
 
-Every rule rebuilds terms through the same few edits: terms.relabel renames
-variables; _edit_slots, the one slot edit, shifts the orders of several
-factors, coefficient functions or deltas (and moves a factor or function to
-another point) in one rebuild, for differentiation, integration by parts,
-argument transfer and quantum._d_dx alike; and _accumulate adds like terms by
-key, both at push and in the final merge (quantum.ccr_reduce merges its queue
-with it too).
+Every rule reads a term through one index, terms.sites (what sits at each
+variable: factors, coefficient functions and delta sides), built once per
+rewrite step.  Every rule rebuilds terms through the same few edits:
+terms.relabel renames variables; _edit_slots, the one slot edit, shifts the
+orders of several factors, coefficient functions or deltas (and moves a
+factor or function to another point) in one rebuild, for differentiation,
+integration by parts, argument transfer and quantum._d_dx alike; and
+_accumulate adds like terms by key, both at push and in the final merge
+(quantum.ccr_reduce merges its queue with it too).
 """
 
 from __future__ import annotations
@@ -67,6 +69,7 @@ from .terms import (
     mi_add,
     mi_unit,
     relabel,
+    sites,
 )
 
 
@@ -113,23 +116,24 @@ def _rewrite_step(t: Term, quantum: bool, transfer: bool):
     r = _coincident(t, quantum)
     if r is not None:
         return r
-    r = _pair_rule(t, quantum)
+    at = sites(t)
+    r = _pair_rule(t, quantum, at)
     if r is not None:
         return r
-    r = _anchored_lone(t)
+    r = _anchored_lone(t, at)
     if r is not None:
         return r
-    r = _contract(t, quantum)
+    r = _contract(t)
     if r is not None:
         return r
-    r = _orphan(t, quantum)
+    r = _orphan(t, at)
     if r is not None:
         return r
     if transfer:
-        r = _transfer(t)
+        r = _transfer(t, at)
         if r is not None:
             return r
-    r = _ibp(t, quantum)
+    r = _ibp(t, at)
     if r is not None:
         return r
     return None
@@ -150,25 +154,7 @@ def _coincident(t: Term, quantum: bool):
     return None
 
 
-def _var_occurrences(t: Term, v: VarId, skip_delta_idx=()) -> int:
-    n = 0
-    for f in t.factors:
-        if f.var == v:
-            n += 1
-    for fn in t.coeff.functions:
-        if fn.var == v:
-            n += 1
-    for idx, d in enumerate(t.deltas):
-        if idx in skip_delta_idx:
-            continue
-        if d.left == v:
-            n += 1
-        if d.right == v:
-            n += 1
-    return n
-
-
-def _pair_rule(t: Term, quantum: bool):
+def _pair_rule(t: Term, quantum: bool, at: dict):
     if not quantum:
         return None
     by_pair: dict[tuple, list[int]] = {}
@@ -187,11 +173,10 @@ def _pair_rule(t: Term, quantum: bool):
             raise UnsupportedDivergenceError(
                 "delta cubed (or higher) at one variable pair is not supported"
             )
-        exclusive = (
-            l.is_dummy and r.is_dummy
-            and _var_occurrences(t, l, skip_delta_idx=idxs) == 0
-            and _var_occurrences(t, r, skip_delta_idx=idxs) == 0
-        )
+        # nothing but the paired deltas sits at either variable
+        exclusive = (l.is_dummy and r.is_dummy
+                     and all(kind == "delta" and i in idxs
+                             for kind, i, _ in at[l] + at[r]))
         if exclusive:
             deltas = tuple(d for i, d in enumerate(t.deltas) if i not in idxs)
             dummies = tuple(v for v in t.dummies if v not in (l, r))
@@ -200,11 +185,11 @@ def _pair_rule(t: Term, quantum: bool):
     return None
 
 
-def _anchored_lone(t: Term):
+def _anchored_lone(t: Term, at: dict):
     for idx, d in enumerate(t.deltas):
         if d.right is not None or not d.left.is_dummy:
             continue
-        if _var_occurrences(t, d.left, skip_delta_idx=(idx,)) == 0:
+        if len(at[d.left]) == 1:  # the delta itself is all that sits there
             if mi_abs(d.deriv) > 0:
                 return []  # integral of a pure derivative of delta
             deltas = t.deltas[:idx] + t.deltas[idx + 1:]
@@ -214,25 +199,6 @@ def _anchored_lone(t: Term):
 
 
 # -- differentiation ------------------------------------------------------------
-
-
-def _slots(t: Term, v: VarId):
-    """Positions in `t` that depend on `v`, for the product rule."""
-    out = []
-    for idx, f in enumerate(t.factors):
-        if f.var == v:
-            out.append(("factor", idx))
-    for idx, fn in enumerate(t.coeff.functions):
-        if fn.var == v:
-            out.append(("func", idx))
-    for idx, d in enumerate(t.deltas):
-        if d.right is not None and d.left == d.right:
-            continue  # a coincident delta is a constant in v
-        if d.left == v:
-            out.append(("delta", idx, "left"))
-        if d.right == v:
-            out.append(("delta", idx, "right"))
-    return out
 
 
 def _edit_slots(t: Term, by: dict, q=1, var=None) -> Term:
@@ -277,7 +243,9 @@ def _diff_multi(t: Term, v: VarId, k) -> list[Term]:
     k!/(j_1!...j_r!); a delta with `v` on its right gives (-1)^|j|."""
     if not any(k):
         return [t]
-    slots = _slots(t, v)
+    # a coincident delta is a constant in v
+    slots = [sl for sl in sites(t).get(v, ())
+             if sl[0] != "delta" or t.deltas[sl[1]].left != t.deltas[sl[1]].right]
     kfact = prod(map(factorial, k))
     out = []
     for split in product(*(_compositions(a, len(slots)) for a in k)):
@@ -295,7 +263,7 @@ def _diff_multi(t: Term, v: VarId, k) -> list[Term]:
 # -- contraction ----------------------------------------------------------------
 
 
-def _contract(t: Term, quantum: bool):
+def _contract(t: Term):
     for d in sorted(t.deltas, key=lambda d: d.key()):
         if d.right is None or d.left == d.right:
             continue
@@ -314,10 +282,10 @@ def _contract(t: Term, quantum: bool):
     return None
 
 
-def _orphan(t: Term, quantum: bool):
+def _orphan(t: Term, at: dict):
     # an integration variable nothing depends on contributes the formal
     # volume constant; {int phi, int pi} is the canonical classical example
-    orphans = [v for v in t.dummies if _var_occurrences(t, v) == 0]
+    orphans = [v for v in t.dummies if v not in at]
     if not orphans:
         return None
     coeff = t.coeff.times_formal(
@@ -329,17 +297,16 @@ def _orphan(t: Term, quantum: bool):
 # -- argument transfer across free-variable deltas -------------------------------
 
 
-def _transfer(t: Term):
+def _transfer(t: Term, at: dict):
     for didx, d in enumerate(t.deltas):
         if d.right is None or d.left.is_dummy or d.right.is_dummy:
             continue
         # orientation guarantees left < right; move the first factor (else
         # function) at the right argument onto the left
-        keys = _ibp_keys(t, d.right)
-        if not keys:
+        slot = next((sl for sl in at[d.right] if sl[0] != "delta"), None)
+        if slot is None:
             continue
-        slot = keys[0][2]
-        return [_edit_slots(t, {("delta", didx): tuple(-b for b in j), slot: j},
+        return [_edit_slots(t, {("delta", didx, "left"): tuple(-b for b in j), slot: j},
                             prod(map(comb, d.deriv, j)), d.left)
                 for j in product(*(range(a + 1) for a in d.deriv))]
     return None
@@ -354,30 +321,22 @@ def _base_rank(piece) -> tuple:
     return (1, PHI) if piece.field == PHI else (2, "pi")
 
 
-def _ibp_keys(t: Term, v: VarId):
-    """(base, deriv) keys of the factors/functions of `t` evaluated at `v`."""
+def _ibp_keys(t: Term, slots):
+    """(base, deriv, slot) keys of the factors/functions at `slots`, which
+    hold no delta."""
     keys = []
-    for idx, f in enumerate(t.factors):
-        if f.var == v:
-            keys.append((_base_rank(f), f.deriv, ("factor", idx)))
-    for idx, fn in enumerate(t.coeff.functions):
-        if fn.var == v:
-            keys.append((_base_rank(fn), fn.deriv, ("func", idx)))
+    for slot in slots:
+        p = (t.factors if slot[0] == "factor" else t.coeff.functions)[slot[1]]
+        keys.append((_base_rank(p), p.deriv, slot))
     return keys
 
 
-def _ibp(t: Term, quantum: bool):
-    delta_vars = set()
-    for d in t.deltas:
-        delta_vars.add(d.left)
-        if d.right is not None:
-            delta_vars.add(d.right)
+def _ibp(t: Term, at: dict):
     for v in sorted(t.dummies, key=lambda v: v.key()):
-        if v in delta_vars:
+        slots = at.get(v)
+        if not slots or any(sl[0] == "delta" for sl in slots):
             continue
-        keys = _ibp_keys(t, v)
-        if not keys:
-            continue
+        keys = _ibp_keys(t, slots)
         top = max(keys, key=lambda k: (k[0], k[1]))
         base, K, top_slot = top
         if mi_abs(K) == 0:
@@ -395,51 +354,44 @@ def _ibp(t: Term, quantum: bool):
         scale = Fraction(-1, p + 1)
         new_terms = [_edit_slots(t, {top_slot: down, s: e}, scale)
                      for s in rslots]
-        old_measure = _measure(t, v)
-        if all(_measure(nt, v) < old_measure for nt in new_terms):
+        old_measure = _measure(t, slots)
+        if all(_measure(nt, slots) < old_measure for nt in new_terms):
             return new_terms
     return None
 
 
-def _measure(t: Term, v: VarId) -> tuple:
-    """Sorted-descending (base, deriv) keys at `v`; tuple order = multiset order."""
-    return tuple(sorted(((k[0], k[1]) for k in _ibp_keys(t, v)), reverse=True))
+def _measure(t: Term, slots) -> tuple:
+    """Sorted-descending (base, deriv) keys at `slots`; tuple order =
+    multiset order.  _edit_slots leaves every piece at its index and point,
+    so the slots of a term index the terms rebuilt from it too."""
+    return tuple(sorted(((k[0], k[1]) for k in _ibp_keys(t, slots)), reverse=True))
 
 
 # -- relabeling, sorting, merging ---------------------------------------------
 
 
-def _signature(t: Term, v: VarId, quantum: bool) -> tuple:
-    """What sits at dummy `v`; operator words also record word positions."""
+def _signature(t: Term, slots, quantum: bool) -> tuple:
+    """What sits at the `slots` of a dummy (of a delta, only its left side);
+    operator words also record word positions."""
     desc = []
-    for pos, f in enumerate(t.factors):
-        if f.var == v:
-            desc.append(("F", f.field, f.deriv, pos if quantum else -1))
-    for fn in t.coeff.functions:
-        if fn.var == v:
+    for kind, idx, side in slots:
+        if kind == "factor":
+            f = t.factors[idx]
+            desc.append(("F", f.field, f.deriv, idx if quantum else -1))
+        elif kind == "func":
+            fn = t.coeff.functions[idx]
             desc.append(("N", fn.name, fn.deriv))
-    for d in t.deltas:
-        if d.left == v:
-            desc.append(("DL", d.deriv))
+        elif side == "left":
+            desc.append(("DL", t.deltas[idx].deriv))
     return tuple(sorted(desc))
 
 
 def _occurrence_order(t: Term) -> list[VarId]:
-    """Dummies by first appearance across factors, functions, deltas."""
-    seen = []
-    def visit(v):
-        if v is not None and v.is_dummy and v not in seen:
-            seen.append(v)
-    for f in t.factors:
-        visit(f.var)
-    for fn in t.coeff.functions:
-        visit(fn.var)
-    for d in t.deltas:
-        visit(d.left)
-        visit(d.right)
-    for v in sorted(t.dummies, key=lambda v: v.key()):
-        visit(v)
-    return seen
+    """Dummies by first appearance across factors, functions, deltas; unused
+    dummies last, by key."""
+    at = sites(t)
+    return ([v for v in at if v.is_dummy]
+            + sorted((v for v in t.dummies if v not in at), key=lambda v: v.key()))
 
 
 def _rename(t: Term, order: list[VarId]) -> Term:
@@ -476,7 +428,8 @@ def _finalize(t: Term, quantum: bool) -> Term:
                 f"delta of order {d.deriv} on ({d.left!r}, {d.right!r}) links "
                 "an integration dummy at the fixpoint; contraction should "
                 "have removed it")
-    order = sorted(t.dummies, key=lambda v: _signature(t, v, quantum))
+    at = sites(t)
+    order = sorted(t.dummies, key=lambda v: _signature(t, at.get(v, ()), quantum))
     return _normalize_rep(_rename(t, order), quantum)
 
 
@@ -502,4 +455,4 @@ def _merge(terms) -> tuple[Term, ...]:
     for t in terms:
         if not t.coeff.is_zero:
             _accumulate(acc, t.key(), t)
-    return tuple(sorted(acc.values(), key=Term.key))
+    return tuple(acc[k] for k in sorted(acc))

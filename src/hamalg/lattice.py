@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from ._kernels import CONST, PHI as K_PHI, PI as K_PI, TermBank, make_bank
+from ._kernels import CONST, PHI as K_PHI, PI as K_PI, TermBank
 from .errors import LatticeError
 from .parser import format_expression
 from .poisson import bracket
@@ -149,6 +149,11 @@ def _delta_column(cfg: LatticeConfig, k: int) -> np.ndarray:
 def discretize(s: Symbol, cfg: LatticeConfig, bind: NumericBinding | None = None) -> LatticeFunctional:
     """Compile a canonical functional to an evaluable lattice object.
 
+    Each term becomes its scalar and one group of pieces per integration
+    dummy (see _kernels.TermBank): the stencil orders of its field factors
+    and the grid arrays of its bound functions and anchored deltas, one
+    array per function derivative and per delta column.
+
     Refuses anything that is not a plain numeric functional: free
     variables, unbound names, formal h/i powers, divergent constants.
     """
@@ -160,26 +165,7 @@ def discretize(s: Symbol, cfg: LatticeConfig, bind: NumericBinding | None = None
     if bind is None:
         bind = NumericBinding()
     x = cfg.x()
-
-    rows: list[np.ndarray] = []
-    row_of: dict = {}
-
-    def const_row(key, build):
-        if key not in row_of:
-            row_of[key] = len(rows)
-            rows.append(build())
-        return row_of[key]
-
-    def func_row(name: str, k: int) -> int:
-        fn = bind.functions.get(name)
-        if fn is None:
-            raise LatticeError(f"unbound name '{name}'")
-        def build():
-            g = fn
-            for _ in range(k):
-                g = g.derivative()
-            return g.sample(x)
-        return const_row(("fn", name, k), build)
+    arrays: dict = {}  # (name, k) for f^(k), k for the delta column
 
     kmax = 0
     encoded = []
@@ -199,23 +185,32 @@ def discretize(s: Symbol, cfg: LatticeConfig, bind: NumericBinding | None = None
         for fn in c.functions:
             if fn.var not in bound:
                 raise LatticeError(f"free variable in '{fn.name}'; bind or integrate it")
-            k = fn.deriv[0]
-            groups[fn.var].append((CONST, 0, func_row(fn.name, k)))
+            key = (fn.name, fn.deriv[0])
+            if key not in arrays:
+                g = bind.functions.get(fn.name)
+                if g is None:
+                    raise LatticeError(f"unbound name '{fn.name}'")
+                for _ in range(key[1]):
+                    g = g.derivative()
+                arrays[key] = g.sample(x)
+            groups[fn.var].append((CONST, arrays[key]))
         for fac in t.factors:
             if fac.var not in bound:
                 raise LatticeError("free field variable; not a functional")
-            kind = K_PHI if fac.field == PHI else K_PI
             k = fac.deriv[0]
             kmax = max(kmax, k)
-            groups[fac.var].append((kind, k, -1))
+            groups[fac.var].append((K_PHI if fac.field == PHI else K_PI, k))
         for dl in t.deltas:
             if dl.right is not None or dl.left not in bound:
                 raise LatticeError("delta with unbound argument; not a functional")
             k = dl.deriv[0]
-            groups[dl.left].append((CONST, 0, const_row(("delta", k), lambda k=k: _delta_column(cfg, k))))
-        encoded.append((scal, [groups[d] for d in t.dummies]))
+            if k not in arrays:
+                arrays[k] = _delta_column(cfg, k)
+            groups[dl.left].append((CONST, arrays[k]))
+        encoded.append((scal, tuple(tuple(groups[d]) for d in t.dummies)))
 
-    bank = make_bank(cfg.n, cfg.delta, encoded, rows, kmax)
+    bank = TermBank(cfg.n, cfg.delta, tuple(encoded),
+                    _kernels.stencil_weights(kmax, cfg.delta))
     return LatticeFunctional(cfg=cfg, bank=bank, label=format_expression(s))
 
 

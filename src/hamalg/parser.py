@@ -50,6 +50,7 @@ from .terms import (
     free_var,
     mi_coerce,
     relabel,
+    sites,
 )
 
 _TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\d+|[()\[\],;^*/+\-]|\S")
@@ -502,7 +503,7 @@ def format_expression(obj) -> str:
         return "0"
     taken = set()
     for t in terms:
-        for v in t.variables():
+        for v in sites(t):
             if v.kind == FREE:
                 taken.add(SESSION.free_name(v.index))
         for fn in t.coeff.functions:

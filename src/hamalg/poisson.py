@@ -28,6 +28,7 @@ from .terms import (
     equals,
     free_var,
     multiply,
+    sites,
 )
 from .variational import _delta_terms_at, check_symbol, vderiv
 
@@ -36,7 +37,7 @@ def _test_point(*symbols):
     taken = set()
     for s in symbols:
         for t in s.terms:
-            taken.update(t.variables())
+            taken.update(sites(t))
     y = free_var("_pb")
     n = 0
     while y in taken:
@@ -45,17 +46,18 @@ def _test_point(*symbols):
     return y
 
 
-def bracket(a: Symbol, b: Symbol, check: bool = True) -> Symbol:
-    """Poisson bracket {a, b}; operands must be symbols (functionals)."""
+def bracket(a: Symbol, b: Symbol) -> Symbol:
+    """Poisson bracket {a, b}; operands must be symbols (functionals): an
+    operand whose variational derivative keeps a delta at the test point
+    raises NotASymbolError."""
     ca, cb = canonicalize(a), canonicalize(b)
     y = _test_point(ca, cb)
     a_phi, a_pi = vderiv(ca, PHI, y), vderiv(ca, PI, y)
     b_phi, b_pi = vderiv(cb, PHI, y), vderiv(cb, PI, y)
-    if check:
-        for name, parts in (("first operand", (a_phi, a_pi)),
-                            ("second operand", (b_phi, b_pi))):
-            if any(_delta_terms_at(part, y) for part in parts):
-                raise NotASymbolError(f"{name} is not a functional of the fields")
+    for name, parts in (("first operand", (a_phi, a_pi)),
+                        ("second operand", (b_phi, b_pi))):
+        if any(_delta_terms_at(part, y) for part in parts):
+            raise NotASymbolError(f"{name} is not a functional of the fields")
     integrand = multiply(a_pi, b_phi) - multiply(a_phi, b_pi)
     return canonicalize(bind_free(integrand, y))
 

@@ -257,18 +257,6 @@ class Term:
     def field_degree(self) -> int:
         return len(self.factors)
 
-    def variables(self) -> set[VarId]:
-        out = set()
-        for f in self.factors:
-            out.add(f.var)
-        for fn in self.coeff.functions:
-            out.add(fn.var)
-        for d in self.deltas:
-            out.add(d.left)
-            if d.right is not None:
-                out.add(d.right)
-        return out
-
 
 def make_term(scalar, dummies=(), factors=(), deltas=(), h=0, i=0, m=0,
               divergent=(), functions=()) -> Term:
@@ -340,6 +328,25 @@ def relabel(t: Term, m: dict, dummies=None) -> Term:
         tuple(DeltaFactor(d.deriv, get(d.left, d.left), get(d.right, d.right))
               for d in t.deltas),
     )
+
+
+def sites(t: Term) -> dict:
+    """Where each variable of `t` sits: {var: [(kind, idx, side), ...]} with
+    the variables in order of first appearance across the factors, the
+    coefficient functions and each delta's left then right argument.  kind
+    is "factor", "func" or "delta" and idx indexes that tuple; side is
+    "left" or "right" for a delta and None otherwise, so a coincident delta
+    is listed twice."""
+    out: dict = {}
+    for idx, f in enumerate(t.factors):
+        out.setdefault(f.var, []).append(("factor", idx, None))
+    for idx, fn in enumerate(t.coeff.functions):
+        out.setdefault(fn.var, []).append(("func", idx, None))
+    for idx, d in enumerate(t.deltas):
+        out.setdefault(d.left, []).append(("delta", idx, "left"))
+        if d.right is not None:
+            out.setdefault(d.right, []).append(("delta", idx, "right"))
+    return out
 
 
 def shift_dummies(t: Term, offset: int) -> Term:

@@ -1,9 +1,11 @@
 """The declared runtime dependencies are installed and satisfy their pins,
-and the program modules import nothing they do not use."""
+and the program modules import nothing they do not use and define no
+private helper that nothing uses."""
 
 import ast
 import importlib.metadata
 import tomllib
+from collections import Counter
 from pathlib import Path
 
 from packaging.requirements import Requirement
@@ -40,3 +42,30 @@ def test_no_unused_imports():
         unused += [f"{path.name}:{line}: {name}"
                    for name, line in _imported_names(tree) if name not in used]
     assert not unused, unused
+
+
+def _mentions(tree):
+    # every name a node can refer to a module-level definition by
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_no_unreferenced_private_helpers():
+    # a module-level _name function or class must be mentioned somewhere in
+    # the package outside its own body
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted((PYPROJECT.parent / "src" / "hamalg").glob("*.py"))}
+    mentioned = Counter(name for tree in trees.values() for name in _mentions(tree))
+    unreferenced = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")
+                    and mentioned[node.name] == Counter(_mentions(node))[node.name]):
+                unreferenced.append(f"{module}: {node.name}")
+    assert not unreferenced, unreferenced

@@ -14,7 +14,7 @@ from hamalg import (SESSION, CoincidentDeltaError, Coefficient, DeltaFactor,
                     named, parse_symbol, phi, pi_)
 from hamalg import _rewrite
 from hamalg.terms import (DELTA_AT_ZERO, INT_DELTA_SQ, VOLUME, concat,
-                          relabel, shift_dummies)
+                          relabel, shift_dummies, sites)
 from hamalg.parser import format_expression
 
 
@@ -25,6 +25,19 @@ def P(text):
 def C(text):
     # parse returns the raw tree; canonical behavior is asserted on this
     return canonicalize(parse_symbol(text))
+
+
+def test_sites_lists_every_place_by_first_appearance():
+    x, u, w = dummy(0), dummy(1), free_var("w")
+    t = make_term(1, dummies=(x, u, dummy(2)), factors=(phi(x), pi_(u)),
+                  functions=(named("f", x),),
+                  deltas=(delta(u, x), delta(w, w), delta(x, None)))
+    at = sites(t)
+    assert list(at) == [x, u, w]  # the unused dummy d2 is absent
+    assert at[x] == [("factor", 0, None), ("func", 0, None),
+                     ("delta", 0, "right"), ("delta", 2, "left")]
+    assert at[u] == [("factor", 1, None), ("delta", 0, "left")]
+    assert at[w] == [("delta", 1, "left"), ("delta", 1, "right")]
 
 
 def test_parse_is_the_raw_tree():
@@ -320,6 +333,24 @@ def test_diff_multi_in_two_dimensions():
         got = _rewrite._diff_multi(t, x, (2, 1))
         assert op_canon(got) == op_canon(d_paths(t, x, (2, 1)))
         assert len(got) == comb(2 + 5, 5) * comb(1 + 5, 5)
+    finally:
+        SESSION.dimension = saved
+
+
+def test_canonical_forms_in_two_dimensions():
+    # integration by parts and contraction beyond the Leibniz rule, with
+    # multi-index orders; each form checked by hand
+    saved = SESSION.dimension
+    SESSION.dimension = 2
+    try:
+        for text, want in [
+            ("int[x](D(phi,[2,0])(x)*phi(x))", "int[x]( -D(phi,[1,0])(x)^2 )"),
+            ("int[x](D(phi,[1,0])(x)*D(pi,[0,1])(x))",
+             "int[x]( -D(phi,[1,1])(x)*pi(x) )"),
+            ("int[x,w](phi(x)*D(pi,[0,1])(w)*delta(x-w;[1,1]))",
+             "int[x]( -D(phi,[1,2])(x)*pi(x) )"),
+        ]:
+            assert format_expression(C(text)) == want
     finally:
         SESSION.dimension = saved
 
