@@ -1,6 +1,6 @@
 """Rewriting engine behind canonical forms.
 
-Pipeline per term (first applicable rule fires, results re-enter the queue):
+Pipeline per term (first applicable rule fires):
 
 1. (at push) drop exact zeros, rename dummies by first occurrence, orient
    delta arguments (smaller variable first) and sort;
@@ -26,6 +26,15 @@ Pipeline per term (first applicable rule fires, results re-enter the queue):
    reduced (with chain-rule grouping) while a multiset measure on factor keys
    strictly decreases; ties or non-decreasing rewrites leave the term alone.
 
+Pending terms merge by key and pop (_drain) greatest _priority first: the
+number of deltas, the sum of their orders, then _measure over every dummy
+(the Dershowitz-Manna multiset order).  Every rule output is strictly
+smaller than its input, so all contributions to a shape merge before it is
+rewritten, once, except the ties of _orphan (same pieces) and of _transfer
+with j = 0 (a piece moves between free variables), which pop after what is
+queued at their priority.  Every rule is linear in the scalar, so the order
+decides only how much work is repeated.
+
 Afterwards dummies are relabeled canonically by one sort on their signatures
 (what sits at each dummy), factor lists are sorted in classical mode (operator
 words keep their order), and like terms merge.  The sort is canonical because
@@ -40,14 +49,15 @@ terms.relabel renames variables; _edit_slots, the one slot edit, shifts the
 orders of several factors, coefficient functions or deltas (and moves a
 factor or function to another point) in one rebuild, for differentiation,
 integration by parts, argument transfer and quantum._d_dx alike; and
-_accumulate adds like terms by key, both at push and in the final merge
-(quantum.ccr_reduce merges its queue with it too).
+_accumulate adds like terms by key, at push and in the final merge.  _drain
+is the one rewrite queue, here and in quantum.ccr_reduce.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from heapq import heappop, heappush
+from itertools import count, product
 from math import comb, factorial, prod
 
 from .errors import (CoincidentDeltaError, HamalgError,
@@ -79,34 +89,71 @@ def canonicalize_terms(terms, quantum: bool = False,
     # a normal form across argument placement is explicitly requested
     if transfer is None:
         transfer = not quantum
+
     # every rule is linear in the leading scalar, reads only the rest of the
     # term, and is label-invariant, so pushed terms are alpha-normalized
     # (sorted, dummies renamed by first occurrence) and in-flight duplicates
     # merge; cancelling shapes disappear before they fan out
-    pending: dict = {}
-
-    def push(t):
+    def normalized(t):
         if t.coeff.is_zero:
-            return
+            return None
         if t.dummies:
             t = _rename(t, _occurrence_order(t))
         t = _normalize_rep(t, quantum)
-        _accumulate(pending, t.key(), t)
+        return t.key(), t
+
+    done = _drain(terms, normalized, _priority,
+                  lambda t: _rewrite_step(t, quantum, transfer))
+    # fixpoint terms are alpha-normalized and merged by key already, so the
+    # canonical relabeling runs once per distinct shape
+    return _merge(_finalize(t, quantum) for t in done.values())
+
+
+def _drain(terms, keyed, priority, step) -> dict:
+    """Rewrite `terms` to fixpoints, returned merged by key.  keyed(t) gives
+    (key, term), or None to drop t; step(t) gives the rewritten terms, None
+    at a fixpoint.  Pending terms merge by key (_accumulate) and a heap pops
+    the least priority(t) first, so when every output of a step has a
+    greater priority than its input, each key is rewritten once.  A key
+    that cancels and is pushed again leaves a stale heap entry, which pops
+    to nothing; keys need not be ordered, so a counter breaks ties."""
+    pending, done, heap, tiebreak = {}, {}, [], count()
+
+    def push(t):
+        kt = keyed(t)
+        if kt is not None and _accumulate(pending, *kt):
+            heappush(heap, (priority(kt[1]), next(tiebreak), kt[0]))
 
     for t in terms:
         push(t)
-    done = []
-    while pending:
-        _, t = pending.popitem()
-        step = _rewrite_step(t, quantum, transfer)
-        if step is None:
-            done.append(t)
+    while heap:
+        k = heappop(heap)[-1]
+        t = pending.pop(k, None)
+        if t is None:
+            continue
+        out = step(t)
+        if out is None:
+            _accumulate(done, k, t)
         else:
-            for nt in step:
+            for nt in out:
                 push(nt)
-    # fixpoint terms are alpha-normalized already: merge them on the cheap
-    # key first so the canonical relabeling runs once per distinct shape
-    return _merge(_finalize(t, quantum) for t in _merge(done))
+    return done
+
+
+class _Greatest(tuple):
+    """A priority that the heap, which pops the least first, pops greatest
+    first."""
+    __slots__ = ()
+
+    def __lt__(self, other):
+        return tuple.__gt__(self, other)
+
+
+def _priority(t: Term) -> _Greatest:
+    """The queue order: deltas, their orders, then _measure at dummies."""
+    return _Greatest((len(t.deltas), sum(mi_abs(d.deriv) for d in t.deltas),
+                      _measure(p for p in t.factors + t.coeff.functions
+                               if p.var.is_dummy)))
 
 
 # -- single rewrite step -------------------------------------------------------
@@ -321,14 +368,15 @@ def _base_rank(piece) -> tuple:
     return (1, PHI) if piece.field == PHI else (2, "pi")
 
 
+def _pieces(t: Term, slots) -> list:
+    """The factors and functions at `slots`, which hold no delta."""
+    return [(t.factors if sl[0] == "factor" else t.coeff.functions)[sl[1]]
+            for sl in slots]
+
+
 def _ibp_keys(t: Term, slots):
-    """(base, deriv, slot) keys of the factors/functions at `slots`, which
-    hold no delta."""
-    keys = []
-    for slot in slots:
-        p = (t.factors if slot[0] == "factor" else t.coeff.functions)[slot[1]]
-        keys.append((_base_rank(p), p.deriv, slot))
-    return keys
+    """(base, deriv, slot) keys of the factors/functions at `slots`."""
+    return [(_base_rank(p), p.deriv, sl) for p, sl in zip(_pieces(t, slots), slots)]
 
 
 def _ibp(t: Term, at: dict):
@@ -354,17 +402,18 @@ def _ibp(t: Term, at: dict):
         scale = Fraction(-1, p + 1)
         new_terms = [_edit_slots(t, {top_slot: down, s: e}, scale)
                      for s in rslots]
-        old_measure = _measure(t, slots)
-        if all(_measure(nt, slots) < old_measure for nt in new_terms):
+        # _edit_slots leaves every piece at its index and point, so the
+        # slots of a term index the terms rebuilt from it too
+        old_measure = _measure(_pieces(t, slots))
+        if all(_measure(_pieces(nt, slots)) < old_measure for nt in new_terms):
             return new_terms
     return None
 
 
-def _measure(t: Term, slots) -> tuple:
-    """Sorted-descending (base, deriv) keys at `slots`; tuple order =
-    multiset order.  _edit_slots leaves every piece at its index and point,
-    so the slots of a term index the terms rebuilt from it too."""
-    return tuple(sorted(((k[0], k[1]) for k in _ibp_keys(t, slots)), reverse=True))
+def _measure(pieces) -> tuple:
+    """Sorted-descending (base, deriv) keys of `pieces`; tuple order =
+    multiset order."""
+    return tuple(sorted(((_base_rank(p), p.deriv) for p in pieces), reverse=True))
 
 
 # -- relabeling, sorting, merging ---------------------------------------------

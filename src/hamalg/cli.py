@@ -48,7 +48,11 @@ def _emit(args, payload, lines) -> None:
 
 def _cmd_vderiv(args) -> int:
     s = parse_symbol(args.expression)
-    out = vderiv(s, args.field, free_var(args.at))
+    try:
+        out = vderiv(s, args.field, free_var(args.at))
+    except ValueError as exc:  # the point occurs in the expression
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     _emit(args, {"field": args.field, "at": args.at, "result": json.loads(to_json(out))},
           [format_expression(out)])
     return 0

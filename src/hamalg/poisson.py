@@ -26,24 +26,9 @@ from .terms import (
     bind_free,
     canonicalize,
     equals,
-    free_var,
     multiply,
-    sites,
 )
-from .variational import _delta_terms_at, check_symbol, vderiv
-
-
-def _test_point(*symbols):
-    taken = set()
-    for s in symbols:
-        for t in s.terms:
-            taken.update(sites(t))
-    y = free_var("_pb")
-    n = 0
-    while y in taken:
-        n += 1
-        y = free_var(f"_pb{n}")
-    return y
+from .variational import _delta_terms_at, _test_point, check_symbol, vderiv
 
 
 def bracket(a: Symbol, b: Symbol) -> Symbol:

@@ -15,14 +15,12 @@ only reported, not applied.
 
 from __future__ import annotations
 
-import heapq
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
 from math import factorial, prod
 
-from ._rewrite import _accumulate, _diff_multi, canonicalize_terms
+from ._rewrite import _diff_multi, _drain, canonicalize_terms
 from .errors import DivergentLeadingTermError, HamalgError, PreconditionError
 from .parser import format_expression
 from .poisson import bracket
@@ -216,42 +214,18 @@ def ccr_reduce(e: OperatorExpression,
     a normal-ordered word the fields commute exactly, as do the momenta, so
     the two blocks are sorted.
 
-    Pending terms merge their scalars on push (the rewrite engine's
-    _accumulate, which drops a key whose scalars cancel) and are rewritten
-    in decreasing order of (word length, momentum-before-field inversions).
-    A rewrite step either keeps the length and removes exactly one inversion
-    or shortens the word by two, so every contribution to a word comes from
-    a strictly higher word and has merged before that word is rewritten, and
-    each distinct word is rewritten once.  A key that cancels and is pushed
-    again leaves a stale heap entry of the same priority: whichever entry
-    pops first rewrites the live term, the other finds nothing.
+    Pending terms merge by key and are rewritten in decreasing order of
+    (word length, momentum-before-field inversions) (the rewrite engine's
+    _drain).  A rewrite step either keeps the length and removes exactly one
+    inversion or shortens the word by two, so every contribution to a word
+    comes from a strictly higher word and has merged before that word is
+    rewritten, and each distinct word is rewritten once.
     """
-    pending: dict = {}
-    heap = []
-    # VarId cannot be ordered, so an insertion counter breaks priority ties
-    tiebreak = count()
-
-    def push(t):
-        k = (t.dummies, t.key())
-        if _accumulate(pending, k, t):
-            heapq.heappush(heap, (-len(t.factors), -_inversions(t.factors),
-                                  next(tiebreak), k))
-
-    for t in e.terms:
-        push(t)
-    done = []
-    while heap:
-        t = pending.pop(heapq.heappop(heap)[-1], None)
-        if t is None or t.coeff.is_zero:
-            continue
-        step = _bubble(t)
-        if step is None:
-            done.append(_sort_blocks(t))
-        else:
-            for nt in step:
-                push(nt)
-    return OperatorExpression(
-        canonicalize_terms(tuple(done), quantum=True, transfer=transfer))
+    done = _drain(e.terms, lambda t: ((t.dummies, t.key()), t),
+                  lambda t: (-len(t.factors), -_inversions(t.factors)), _bubble)
+    return OperatorExpression(canonicalize_terms(
+        tuple(_sort_blocks(t) for t in done.values()), quantum=True,
+        transfer=transfer))
 
 
 def op_equals(a: OperatorExpression, b: OperatorExpression) -> bool:

@@ -21,6 +21,7 @@ from .terms import (
     VarId,
     canonicalize,
     free_var,
+    sites,
 )
 
 
@@ -30,14 +31,24 @@ def _check_field(field: str) -> str:
     return field
 
 
+def _test_point(*symbols) -> VarId:
+    """A free point that occurs in none of `symbols` (factor, coefficient
+    function or delta): _pb, else _pb1, _pb2, ..."""
+    taken = {v for s in symbols for t in s.terms for v in sites(t)}
+    n = 0
+    while (y := free_var(f"_pb{n or ''}")) in taken:
+        n += 1
+    return y
+
+
 def vderiv(s: Symbol, field: str, var: VarId) -> Symbol:
-    """delta s / delta field(var); `var` must be free and not occur in `s`."""
+    """delta s / delta field(var); `var` must be free and absent from `s`."""
     _check_field(field)
     if var.is_dummy:
         raise ValueError("variational derivative requires a free variable")
     out = []
     for t in s.terms:
-        if any(f.var == var for f in t.factors):
+        if var in sites(t):
             raise ValueError(
                 "test point already occurs in the expression; "
                 "differentiate at a fresh free variable"
@@ -82,7 +93,7 @@ def check_symbol(s: Symbol) -> SymbolCheck:
     Both variational derivatives must be delta-free at the test point;
     offending canonical terms are returned as witnesses.
     """
-    test = free_var("_chk")
+    test = _test_point(s)  # canonical forms bring no new free variable
     witnesses: list[Term] = []
     for field in (PHI, PI):
         witnesses.extend(_delta_terms_at(vderiv(canonicalize(s), field, test), test))

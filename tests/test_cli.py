@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from hamalg import cli, equals, parse_symbol
 
 
@@ -23,6 +25,15 @@ def test_vderiv_prints_at_the_free_point():
     out = run("vderiv", "int[x]( (1/2)*pi(x)^2 )", "--field", "pi")
     assert out.returncode == 0
     assert out.stdout.strip() == "pi(y)"
+
+
+@pytest.mark.parametrize("text", ["g(y)*int[x](phi(x)^2)",
+                                  "int[x](phi(x)^2)*phi(y)"])
+def test_vderiv_refuses_a_point_in_the_expression(text):
+    out = run("vderiv", text, "--field", "phi", "--at", "y")
+    assert out.returncode == 2
+    assert out.stderr.startswith("error: test point already occurs")
+    assert "Traceback" not in out.stderr
 
 
 def test_multiply_and_grade():

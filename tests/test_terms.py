@@ -9,10 +9,11 @@ import pytest
 from hamalg import (SESSION, CoincidentDeltaError, Coefficient, DeltaFactor,
                     DivergentConstant, FieldFactor, HamalgError,
                     MaxDerivativeError, NamedFunction, ParseError,
-                    RandomSymbolGenerator, Symbol, Term, ZERO, canonicalize,
-                    delta, dummy, equals, free_var, make_term, multiply,
-                    named, parse_symbol, phi, pi_)
-from hamalg import _rewrite
+                    RandomSymbolGenerator, Symbol, Term, ZERO, bracket,
+                    canonicalize, ccr_reduce, delta, dummy, equals, free_var,
+                    make_term, multiply, named, parse_symbol, phi, pi_,
+                    quantize)
+from hamalg import _rewrite, quantum
 from hamalg.terms import (DELTA_AT_ZERO, INT_DELTA_SQ, VOLUME, concat,
                           relabel, shift_dummies, sites)
 from hamalg.parser import format_expression
@@ -392,3 +393,81 @@ def test_scale_matches_make(q):
         assert got == Coefficient.make(c.scalar * Fraction(q), c.h, c.i, c.m,
                                        c.divergent, c.functions)
         assert type(got.scalar) is Fraction
+
+
+# -- rewrite queue ----------------------------------------------------------------
+
+
+def _record_calls(monkeypatch):
+    """Record every canonicalize_terms call: its input, its mode and the key
+    of each term _rewrite_step rewrote.  quantum imports canonicalize_terms
+    by name, so it is replaced there too."""
+    calls = []
+    canonicalize_terms, rewrite_step = _rewrite.canonicalize_terms, _rewrite._rewrite_step
+
+    def recording_canonicalize(terms, quantum=False, transfer=None):
+        terms = tuple(terms)
+        calls.append({"terms": terms, "mode": (quantum, transfer), "keys": []})
+        return canonicalize_terms(terms, quantum, transfer)
+
+    def recording_step(t, quantum, transfer):
+        calls[-1]["keys"].append(t.key())
+        return rewrite_step(t, quantum, transfer)
+
+    monkeypatch.setattr(_rewrite, "canonicalize_terms", recording_canonicalize)
+    monkeypatch.setattr(quantum, "canonicalize_terms", recording_canonicalize)
+    monkeypatch.setattr(_rewrite, "_rewrite_step", recording_step)
+    return calls
+
+
+def _drive_engine(monkeypatch):
+    """The canonicalize_terms calls of a few of criterion 1's Jacobi outer
+    brackets and of one operator-mode quantize + ccr_reduce."""
+    gen = RandomSymbolGenerator(42, max_grade=3, max_deriv=2, max_terms=1,
+                                max_factors=3)
+    draws = [(gen.symbol(), gen.symbol(), gen.symbol()) for _ in range(6)]
+    inner = [bracket(b, c) for _, b, c in draws]
+    calls = _record_calls(monkeypatch)
+    for (a, _, _), bc in zip(draws, inner):
+        bracket(a, bc)
+    ccr_reduce(quantize(P("int[x](D(phi,1)(x)*phi(x)^2*pi(x)^2)"), "weyl"))
+    monkeypatch.undo()
+    return calls
+
+
+def test_each_key_is_rewritten_once_per_call(monkeypatch):
+    # the queue pops in priority order, so every contribution to a shape
+    # merges before the shape is rewritten
+    calls = _drive_engine(monkeypatch)
+    assert any(c["mode"][0] for c in calls)  # operator mode is covered
+    assert sum(len(c["keys"]) for c in calls) > 100
+    for c in calls:
+        assert len(set(c["keys"])) == len(c["keys"])
+
+
+def _same_sum_reshuffled(terms, rng):
+    """The same sum, permuted: each term split into two parts (the second
+    with its dummies relabeled), and cancelling pairs added."""
+    def scaled(t, q):
+        return Term(t.dummies, t.coeff.scale(q), t.factors, t.deltas)
+
+    out = []
+    for t in terms:
+        q = Fraction(rng.randint(1, 6), 7)
+        out += [scaled(t, q), scaled(shift_dummies(t, 3), 1 - q)]
+        u = rng.choice(terms)
+        out += [u, scaled(u, -1)]
+    rng.shuffle(out)
+    return out
+
+
+def test_canonical_form_does_not_depend_on_input_order(monkeypatch):
+    calls = _drive_engine(monkeypatch)
+    assert {c["mode"][0] for c in calls} == {False, True}
+    for seed in range(3):
+        rng = random.Random(seed)
+        for c in calls:
+            want = _rewrite.canonicalize_terms(c["terms"], *c["mode"])
+            got = _rewrite.canonicalize_terms(
+                _same_sum_reshuffled(c["terms"], rng), *c["mode"])
+            assert got == want

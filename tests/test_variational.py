@@ -6,6 +6,7 @@ from hamalg import (RandomSymbolGenerator, equals, formal_scale, free_var,
                     parse_symbol, second_vderiv, vderiv)
 from hamalg.parser import format_expression
 from hamalg.terms import dummy
+from hamalg.variational import check_symbol
 
 Y = free_var("y")
 Z = free_var("z")
@@ -74,3 +75,21 @@ def test_unknown_field_name():
 def test_second_variation_needs_distinct_points():
     with pytest.raises(ValueError):
         second_vderiv(P("int[x](phi(x)^2)"), ("phi", "phi"), Y, Y)
+
+
+@pytest.mark.parametrize("text", ["g(y)*int[x](phi(x)^2)",
+                                  "int[x](phi(x)^2)*phi(y)",
+                                  "int[x](phi(x)^2*D(f,1)(y))"])
+def test_the_point_may_not_occur_anywhere(text):
+    # a weight at the point would be confused with the test point
+    with pytest.raises(ValueError):
+        vderiv(P(text), "phi", Y)
+
+
+def test_check_symbol_picks_a_fresh_point():
+    # whatever the expression's free names, the test point is none of them
+    assert not check_symbol(P("int[x](phi(x)^2)*phi(_chk)")).is_symbol
+    assert check_symbol(P("g(_chk)*int[x](phi(x)^2)")).is_symbol
+    assert check_symbol(P("g(_pb)*int[x](phi(x)^2)")).is_symbol
+    chk = check_symbol(P("int[x](pi(x))*phi(_pb)"))
+    assert not chk.is_symbol and len(chk.witnesses) == 1
