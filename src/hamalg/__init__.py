@@ -6,6 +6,9 @@ bookkeeping with formal divergent constants, and numeric cross-checks on a
 periodic lattice plus finite-dimensional quasiclassical expansions.
 """
 
+import importlib.util
+import sys
+
 from .errors import (
     CausticError,
     CoincidentDeltaError,
@@ -93,16 +96,25 @@ from .lattice import (
     random_profile,
     verify_bracket,
 )
-from .quasiclassics import (
-    Characteristics,
-    FiniteDimHamiltonian,
-    integrate_characteristics,
-    monodromy,
-    standard_case,
-    transport_amplitude,
-    transport_residual,
-    wkb_residual,
-)
 from .suite import SuiteReport, run_suite
 
 __version__ = "0.1.0"
+
+# quasiclassics pulls in sympy and scipy, most of the import time.  It is
+# registered as hamalg.quasiclassics (in sys.modules too) but executes on
+# first attribute access, through the module or through the names below.
+_spec = importlib.util.find_spec(".quasiclassics", __name__)
+_spec.loader = importlib.util.LazyLoader(_spec.loader)
+quasiclassics = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(quasiclassics)
+del _spec
+
+_QUASICLASSICS = ("Characteristics", "FiniteDimHamiltonian",
+                  "integrate_characteristics", "monodromy", "standard_case",
+                  "transport_amplitude", "transport_residual", "wkb_residual")
+
+
+def __getattr__(name):
+    if name in _QUASICLASSICS:
+        return getattr(quasiclassics, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -23,10 +23,11 @@ Pipeline per term (first applicable rule fires):
    expressions differing only by which delta argument carries the fields
    coincide structurally;
 8. integration by parts per dummy: the greatest factor's derivative order is
-   reduced (with chain-rule grouping) while a multiset measure on factor keys
-   strictly decreases; ties or non-decreasing rewrites leave the term alone.
+   reduced (with chain-rule grouping) while a multiset measure on (base,
+   order) pairs strictly decreases; ties or non-decreasing rewrites leave
+   the term alone.
 
-Pending terms merge by key and pop (_drain) greatest _priority first: the
+Pending terms merge by Term.key and pop (_drain) greatest _priority first: the
 number of deltas, the sum of their orders, then _measure over every dummy
 (the Dershowitz-Manna multiset order).  Every rule output is strictly
 smaller than its input, so all contributions to a shape merge before it is
@@ -40,7 +41,8 @@ Afterwards dummies are relabeled canonically by one sort on their signatures
 words keep their order), and like terms merge.  The sort is canonical because
 contraction leaves no two-argument delta on a dummy, so nothing links two
 dummies and dummies with equal signatures swap freely; the relabeling checks
-that invariant and raises if it fails.
+that invariant and raises if it fails.  Pieces sort, and terms sort by
+Term.key, in their own tuple order (see the terms module).
 
 Every rule reads a term through one index, terms.sites (what sits at each
 variable: factors, coefficient functions and delta sides), built once per
@@ -49,8 +51,8 @@ terms.relabel renames variables; _edit_slots, the one slot edit, shifts the
 orders of several factors, coefficient functions or deltas (and moves a
 factor or function to another point) in one rebuild, for differentiation,
 integration by parts, argument transfer and quantum._d_dx alike; and
-_accumulate adds like terms by key, at push and in the final merge.  _drain
-is the one rewrite queue, here and in quantum.ccr_reduce.
+_accumulate adds like terms by Term.key, at push and in the final merge.
+_drain is the one rewrite queue, here and in quantum.ccr_reduce.
 """
 
 from __future__ import annotations
@@ -63,6 +65,7 @@ from math import comb, factorial, prod
 from .errors import (CoincidentDeltaError, HamalgError,
                      UnsupportedDivergenceError)
 from .terms import (
+    ANCHOR,
     Coefficient,
     DeltaFactor,
     DivergentConstant,
@@ -70,8 +73,6 @@ from .terms import (
     INT_DELTA_SQ,
     DELTA_AT_ZERO,
     VOLUME,
-    NamedFunction,
-    PHI,
     Term,
     VarId,
     dummy,
@@ -188,7 +189,7 @@ def _rewrite_step(t: Term, quantum: bool, transfer: bool):
 
 def _coincident(t: Term, quantum: bool):
     for idx, d in enumerate(t.deltas):
-        if d.right is not None and d.left == d.right:
+        if d.left == d.right:
             if not quantum:
                 raise CoincidentDeltaError(
                     f"coincident delta of order {d.deriv} on {d.left!r}; "
@@ -206,9 +207,9 @@ def _pair_rule(t: Term, quantum: bool, at: dict):
         return None
     by_pair: dict[tuple, list[int]] = {}
     for idx, d in enumerate(t.deltas):
-        if d.right is not None and d.left != d.right:
+        if d.right is not ANCHOR and d.left != d.right:
             by_pair.setdefault((d.left, d.right), []).append(idx)
-    for (l, r), idxs in sorted(by_pair.items(), key=lambda kv: (kv[0][0].key(), kv[0][1].key())):
+    for (l, r), idxs in sorted(by_pair.items()):
         if len(idxs) < 2:
             continue
         if any(mi_abs(t.deltas[i].deriv) > 0 for i in idxs):
@@ -234,7 +235,7 @@ def _pair_rule(t: Term, quantum: bool, at: dict):
 
 def _anchored_lone(t: Term, at: dict):
     for idx, d in enumerate(t.deltas):
-        if d.right is not None or not d.left.is_dummy:
+        if d.right is not ANCHOR or not d.left.is_dummy:
             continue
         if len(at[d.left]) == 1:  # the delta itself is all that sits there
             if mi_abs(d.deriv) > 0:
@@ -262,10 +263,8 @@ def _edit_slots(t: Term, by: dict, q=1, var=None) -> Term:
         deriv = mi_add(p.deriv, j)
         if kind == "delta":
             p = DeltaFactor(deriv, p.left, p.right)
-        elif kind == "factor":
-            p = FieldFactor(p.field, deriv, p.var if var is None else var)
-        else:
-            p = NamedFunction(p.name, deriv, p.var if var is None else var)
+        else:  # a FieldFactor or NamedFunction: (field or name, deriv, var)
+            p = type(p)(p[0], deriv, p.var if var is None else var)
         pieces[kind][idx] = p
     scalar = c.scalar if q == 1 else c.scalar * q
     return Term(t.dummies,
@@ -311,13 +310,13 @@ def _diff_multi(t: Term, v: VarId, k) -> list[Term]:
 
 
 def _contract(t: Term):
-    for d in sorted(t.deltas, key=lambda d: d.key()):
-        if d.right is None or d.left == d.right:
+    for d in sorted(t.deltas):
+        if d.right is ANCHOR or d.left == d.right:
             continue
         cands = [v for v in (d.left, d.right) if v.is_dummy]
         if not cands:
             continue
-        v = max(cands, key=lambda v: v.key())
+        v = max(cands)
         keep = d.right if v == d.left else d.left
         sign = 1 if v == d.right else (-1) ** mi_abs(d.deriv)
         idx = t.deltas.index(d)
@@ -346,7 +345,7 @@ def _orphan(t: Term, at: dict):
 
 def _transfer(t: Term, at: dict):
     for didx, d in enumerate(t.deltas):
-        if d.right is None or d.left.is_dummy or d.right.is_dummy:
+        if d.right is ANCHOR or d.left.is_dummy or d.right.is_dummy:
             continue
         # orientation guarantees left < right; move the first factor (else
         # function) at the right argument onto the left
@@ -363,9 +362,8 @@ def _transfer(t: Term, at: dict):
 
 
 def _base_rank(piece) -> tuple:
-    if isinstance(piece, NamedFunction):
-        return (0, piece.name)
-    return (1, PHI) if piece.field == PHI else (2, "pi")
+    """Functions, by name, below phi below pi ("phi" < "pi")."""
+    return (type(piece) is FieldFactor, piece[0])
 
 
 def _pieces(t: Term, slots) -> list:
@@ -380,7 +378,7 @@ def _ibp_keys(t: Term, slots):
 
 
 def _ibp(t: Term, at: dict):
-    for v in sorted(t.dummies, key=lambda v: v.key()):
+    for v in sorted(t.dummies):
         slots = at.get(v)
         if not slots or any(sl[0] == "delta" for sl in slots):
             continue
@@ -437,10 +435,10 @@ def _signature(t: Term, slots, quantum: bool) -> tuple:
 
 def _occurrence_order(t: Term) -> list[VarId]:
     """Dummies by first appearance across factors, functions, deltas; unused
-    dummies last, by key."""
+    dummies last, in order."""
     at = sites(t)
     return ([v for v in at if v.is_dummy]
-            + sorted((v for v in t.dummies if v not in at), key=lambda v: v.key()))
+            + sorted(v for v in t.dummies if v not in at))
 
 
 def _rename(t: Term, order: list[VarId]) -> Term:
@@ -458,21 +456,21 @@ def _normalize_rep(t: Term, quantum: bool) -> Term:
     scalar = c.scalar
     deltas = []
     for d in t.deltas:
-        if d.right is not None and d.left.key() > d.right.key():
+        if d.right is not ANCHOR and d.left > d.right:
             deltas.append(DeltaFactor(d.deriv, d.right, d.left))
             if mi_abs(d.deriv) % 2:
                 scalar = -scalar
         else:
             deltas.append(d)
-    deltas = tuple(sorted(deltas, key=lambda d: d.key()))
-    factors = t.factors if quantum else tuple(sorted(t.factors, key=lambda f: f.key()))
+    deltas = tuple(sorted(deltas))
+    factors = t.factors if quantum else tuple(sorted(t.factors))
     coeff = Coefficient.make(scalar, c.h, c.i, c.m, c.divergent, c.functions)
     return Term(t.dummies, coeff, factors, deltas)
 
 
 def _finalize(t: Term, quantum: bool) -> Term:
     for d in t.deltas:
-        if d.right is not None and (d.left.is_dummy or d.right.is_dummy):
+        if d.right is not ANCHOR and (d.left.is_dummy or d.right.is_dummy):
             raise HamalgError(
                 f"delta of order {d.deriv} on ({d.left!r}, {d.right!r}) links "
                 "an integration dummy at the fixpoint; contraction should "

@@ -22,13 +22,13 @@ from .parser import format_expression, parse_operator, parse_symbol, to_json
 from .poisson import bracket, check_algebra, grade, grade_decompose
 from .quantum import (ccr_reduce, commutator, correspondence_check,
                       leibniz_residual, quantize)
-from .quasiclassics import (integrate_characteristics, standard_case,
-                            transport_residual, wkb_residual)
 from .suite import PROFILES, run_suite
 from .terms import equals, free_var, multiply
 from .variational import vderiv
 
-USAGE_ERRORS = (ParseError, DeclarationError, PreconditionError, LatticeError)
+# ValueError: an argument the library refuses, e.g. a point in the expression
+USAGE_ERRORS = (ParseError, DeclarationError, PreconditionError, LatticeError,
+                ValueError)
 
 
 def _print_json(payload) -> None:
@@ -47,12 +47,7 @@ def _emit(args, payload, lines) -> None:
 
 
 def _cmd_vderiv(args) -> int:
-    s = parse_symbol(args.expression)
-    try:
-        out = vderiv(s, args.field, free_var(args.at))
-    except ValueError as exc:  # the point occurs in the expression
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    out = vderiv(parse_symbol(args.expression), args.field, free_var(args.at))
     _emit(args, {"field": args.field, "at": args.at, "result": json.loads(to_json(out))},
           [format_expression(out)])
     return 0
@@ -217,6 +212,7 @@ def _cmd_kg_flow(args) -> int:
 
 
 def _cmd_qc_characteristics(args) -> int:
+    from .quasiclassics import integrate_characteristics, standard_case
     case = standard_case(args.case)
     fan = np.linspace(-args.fan_half_width, args.fan_half_width, args.fan_points)
     chars = integrate_characteristics(case["ham"], case["s0"], fan,
@@ -243,6 +239,7 @@ def _cmd_qc_characteristics(args) -> int:
 
 
 def _cmd_qc_transport(args) -> int:
+    from .quasiclassics import standard_case, transport_residual
     case = standard_case(args.case)
     rep = transport_residual(case["ham"], case["s"], case["a"],
                              case["t_grid"], case["q_grid"])
@@ -258,6 +255,7 @@ def _cmd_qc_transport(args) -> int:
 
 
 def _cmd_qc_wkb(args) -> int:
+    from .quasiclassics import standard_case, wkb_residual
     case = standard_case(args.case)
     hs = tuple(args.h or (0.1, 0.05, 0.025))
     rep = wkb_residual(case["ham"], case["s"], case["a"], hs,

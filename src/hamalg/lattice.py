@@ -29,7 +29,7 @@ from .errors import LatticeError
 from .parser import format_expression
 from .poisson import bracket
 from .session import SESSION
-from .terms import PHI, Symbol, canonicalize
+from .terms import ANCHOR, PHI, Symbol, canonicalize
 
 
 @dataclass(frozen=True)
@@ -201,7 +201,7 @@ def discretize(s: Symbol, cfg: LatticeConfig, bind: NumericBinding | None = None
             kmax = max(kmax, k)
             groups[fac.var].append((K_PHI if fac.field == PHI else K_PI, k))
         for dl in t.deltas:
-            if dl.right is not None or dl.left not in bound:
+            if dl.right is not ANCHOR or dl.left not in bound:
                 raise LatticeError("delta with unbound argument; not a functional")
             k = dl.deriv[0]
             if k not in arrays:

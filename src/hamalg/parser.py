@@ -31,6 +31,7 @@ from fractions import Fraction
 from .errors import DeclarationError, ParseError
 from .session import RESERVED, SESSION
 from .terms import (
+    ANCHOR,
     Coefficient,
     DeltaFactor,
     DivergentConstant,
@@ -358,7 +359,7 @@ class _Parser:
         self.next()  # delta
         self.expect("(")
         left = self.parse_var()
-        right = None
+        right = ANCHOR
         if self.peek().type == "-":
             self.next()
             right = self.parse_var()
@@ -485,7 +486,7 @@ def _monomial_str(t: Term, names: dict[VarId, str], quantum: bool) -> str:
         idx += run
     for d in t.deltas:
         inner = _var_str(d.left, names)
-        if d.right is not None:
+        if d.right is not ANCHOR:
             inner += f"-{_var_str(d.right, names)}"
         if sum(d.deriv):
             inner += f";{_order_str(d.deriv)}"
@@ -578,7 +579,7 @@ def to_json_dict(obj) -> dict:
             "factors": [{"field": f.field, "deriv": list(f.deriv),
                          "var": _var_json(f.var)} for f in t.factors],
             "deltas": [{"deriv": list(d.deriv), "left": _var_json(d.left),
-                        "right": None if d.right is None else _var_json(d.right)}
+                        "right": None if d.right is ANCHOR else _var_json(d.right)}
                        for d in t.deltas],
         })
     return {
@@ -612,7 +613,7 @@ def from_json(data):
                                     _var_from_json(f["var"]))
                         for f in tj["factors"])
         deltas = tuple(DeltaFactor(tuple(d["deriv"]), _var_from_json(d["left"]),
-                                   None if d["right"] is None
+                                   ANCHOR if d["right"] is None
                                    else _var_from_json(d["right"]))
                        for d in tj["deltas"])
         terms.append(Term(tuple(dummy(i) for i in range(tj["dummies"])),

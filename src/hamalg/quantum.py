@@ -26,6 +26,7 @@ from .parser import format_expression
 from .poisson import bracket
 from .session import SESSION
 from .terms import (
+    ANCHOR,
     Coefficient,
     DELTA_AT_ZERO,
     DeltaFactor,
@@ -64,9 +65,6 @@ class OperatorExpression(Symbol):
         return any(t.coeff.divergent for t in self.terms)
 
 
-OP_ZERO = OperatorExpression(())
-
-
 def operator(*terms: Term) -> OperatorExpression:
     return OperatorExpression(tuple(terms))
 
@@ -103,8 +101,8 @@ WEYL_WORD_LIMIT = 20_000
 
 def _distinct_arrangements(factors):
     """Yield each distinct arrangement of `factors` once, in lexicographic
-    order of factor keys (Knuth, TAOCP 4A, 7.2.1.2, Algorithm L)."""
-    distinct = sorted(set(factors), key=lambda f: f.key())
+    order of factors (Knuth, TAOCP 4A, 7.2.1.2, Algorithm L)."""
+    distinct = sorted(set(factors))
     rank = {f: k for k, f in enumerate(distinct)}
     a = sorted(rank[f] for f in factors)
     n = len(a)
@@ -134,8 +132,7 @@ def quantize(s: Symbol, scheme: str = "normal") -> OperatorExpression:
     HamalgError before any word is generated.
     """
     _check_scheme(scheme)
-    require_symbol(s)
-    terms = canonicalize(s).terms
+    terms = require_symbol(s).terms
     if scheme == "normal":
         return op_canonicalize(OperatorExpression(terms))
     # a term's weight prod(m_i!)/r! is 1 / (its number of arrangements)
@@ -189,8 +186,8 @@ def _bubble(t: Term):
 
 def _sort_blocks(t: Term) -> Term:
     k = sum(1 for f in t.factors if f.field == PHI)
-    phis = tuple(sorted(t.factors[:k], key=lambda f: f.key()))
-    pis = tuple(sorted(t.factors[k:], key=lambda f: f.key()))
+    phis = tuple(sorted(t.factors[:k]))
+    pis = tuple(sorted(t.factors[k:]))
     return Term(t.dummies, t.coeff, phis + pis, t.deltas)
 
 
@@ -357,10 +354,10 @@ def _anchor(e, var):
         deltas = []
         for d in t.deltas:
             if d.right == var:
-                deltas.append(DeltaFactor(d.deriv, d.left, None))
-            elif d.left == var and d.right is not None:
+                deltas.append(DeltaFactor(d.deriv, d.left, ANCHOR))
+            elif d.left == var and d.right is not ANCHOR:
                 sign *= (-1) ** mi_abs(d.deriv)
-                deltas.append(DeltaFactor(d.deriv, d.right, None))
+                deltas.append(DeltaFactor(d.deriv, d.right, ANCHOR))
             elif d.left == var:
                 raise HamalgError("anchoring would evaluate a delta at zero")
             else:
@@ -384,7 +381,7 @@ def _pool_anchored(s: Symbol) -> Symbol:
     for t in s.terms:
         by_var = {}
         for idx, d in enumerate(t.deltas):
-            if d.right is None:
+            if d.right is ANCHOR:
                 by_var.setdefault(d.left, []).append(idx)
         pair = next((idxs for idxs in by_var.values() if len(idxs) >= 2), None)
         if pair is None:
@@ -456,7 +453,7 @@ def leibniz_residual(f_name: str = "f", g_name: str = "g") -> LeibnizResidualRep
     SESSION.require_function(f_name)
     SESSION.require_function(g_name)
     xv, yv = free_var("x"), free_var("y")
-    kept, dropped = (xv, yv) if xv.key() < yv.key() else (yv, xv)
+    kept, dropped = (xv, yv) if xv < yv else (yv, xv)
     a = operator(make_term(1, factors=(phi(kept), phi(kept, 1))))
     b = operator(make_term(1, factors=(pi_(dropped), pi_(dropped))))
     way1 = commutator(a, b, grouping="left", transfer=True)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from .session import SESSION
 from .terms import (
     Symbol,
     Term,
@@ -39,18 +40,22 @@ class RandomSymbolGenerator:
 
     # -- single integral bodies -------------------------------------------
 
+    def _order(self, cap: int) -> tuple[int, ...]:
+        """A derivative multi-index, one draw of 0..cap per axis."""
+        return tuple(self.rng.randint(0, cap) for _ in range(SESSION.dimension))
+
     def _integral_term(self, n_fields: int, n_pi: int, deriv_cap: int | None = None) -> Term:
         rng = self.rng
         cap = self.max_deriv if deriv_cap is None else deriv_cap
         d0 = dummy(0)
         factors = []
         for k in range(n_fields):
-            order = rng.randint(0, cap)
+            order = self._order(cap)
             factors.append(pi_(d0, order) if k < n_pi else phi(d0, order))
         funcs = []
         for name in self.functions:
             if rng.random() < 0.35:
-                funcs.append(named(name, d0, rng.randint(0, 1)))
+                funcs.append(named(name, d0, self._order(1)))
         m_power = 2 if rng.random() < 0.15 else 0
         return make_term(rng.choice(_SCALARS), dummies=[d0], factors=factors,
                          functions=funcs, m=m_power)

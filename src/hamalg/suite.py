@@ -29,7 +29,6 @@ from .quantum import quantize, op_multiply, ccr_reduce, commutator, \
 from .randsym import RandomSymbolGenerator
 from .lattice import LatticeConfig, default_binding, verify_bracket, \
     kg_flow, kg_group_defect, kg_energy_drift, random_profile
-from .quasiclassics import standard_case, transport_residual, wkb_residual
 
 
 @dataclass(frozen=True)
@@ -269,6 +268,8 @@ def criterion_7(profile: SuiteProfile, seed: int) -> CriterionResult:
 
 def criterion_8(profile: SuiteProfile, seed: int) -> CriterionResult:
     """Transport residuals vanish on closed forms; wkb defect is O(h^2)."""
+    from .quasiclassics import (quartic_case, standard_case,
+                                transport_residual, wkb_residual)
     failures, details = [], {}
     for name in ("oscillator", "free"):
         case = standard_case(name)
@@ -277,7 +278,6 @@ def criterion_8(profile: SuiteProfile, seed: int) -> CriterionResult:
         details[f"transport_{name}"] = rep.to_dict()
         if rep.residual_max >= 1e-6:
             failures.append(f"{name} transport residual {rep.residual_max:.2e}")
-    from .quasiclassics import quartic_case
     case = quartic_case(n_fan=profile.quartic_fan)
     wkb = wkb_residual(case["ham"], case["s"], case["a"],
                        (0.1, 0.05, 0.025), case["t_grid"], case["q_grid"])

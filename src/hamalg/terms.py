@@ -14,13 +14,21 @@ divergent constants produced by the operator calculus.
 
 The same Term class backs operator expressions; there the factor tuple is an
 ordered word of field operators and its order is significant.
+
+Variables and the pieces of a term are NamedTuples whose field order is the
+canonical order, so sorts, merges and hashes use the values themselves, and
+Term.key() (the term without its scalar) is a tuple of them.  Pieces of
+different types never compare equal: their fields differ in number or type,
+and function names exclude phi and pi (session.RESERVED), so no NamedFunction
+equals a FieldFactor.  An anchored delta delta^(alpha)(left) has right =
+ANCHOR, a variable that sorts first and is no point (sites skips it).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from .errors import MaxDerivativeError
 from .session import SESSION
@@ -34,8 +42,7 @@ PI = "pi"
 MultiIndex = tuple[int, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class VarId:
+class VarId(NamedTuple):
     kind: int
     index: int
 
@@ -43,11 +50,12 @@ class VarId:
     def is_dummy(self) -> bool:
         return self.kind == DUMMY
 
-    def key(self) -> tuple[int, int]:
-        return (self.kind, self.index)
-
     def __repr__(self):
         return f"d{self.index}" if self.kind == DUMMY else f"v{self.index}"
+
+
+#: the right argument of an anchored delta; sorts before every variable
+ANCHOR = VarId(-1, -1)
 
 
 def dummy(index: int) -> VarId:
@@ -100,37 +108,24 @@ def mi_abs(a: MultiIndex) -> int:
 
 # -- factors ------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class NamedFunction:
+class NamedFunction(NamedTuple):
     """A declared coefficient function f^(alpha) evaluated at a variable."""
     name: str
     deriv: MultiIndex
     var: VarId
 
-    def key(self):
-        return (0, self.name, self.deriv, self.var.key())
 
-
-@dataclass(frozen=True, slots=True)
-class FieldFactor:
-    field: str  # PHI or PI
+class FieldFactor(NamedTuple):
+    field: str  # PHI or PI; "phi" < "pi"
     deriv: MultiIndex
     var: VarId
 
-    def key(self):
-        return (1 if self.field == PHI else 2, self.field, self.deriv, self.var.key())
 
-
-@dataclass(frozen=True, slots=True)
-class DeltaFactor:
-    """delta^(alpha)(left - right); right is None for the anchored delta^(alpha)(left)."""
+class DeltaFactor(NamedTuple):
+    """delta^(alpha)(left - right); right is ANCHOR for delta^(alpha)(left)."""
     deriv: MultiIndex
     left: VarId
-    right: VarId | None
-
-    def key(self):
-        rk = self.right.key() if self.right is not None else (-1, -1)
-        return (self.deriv, self.left.key(), rk)
+    right: VarId
 
 
 DELTA_AT_ZERO = "delta0"     # delta^(alpha)(0)
@@ -138,13 +133,9 @@ INT_DELTA_SQ = "intdelta2"   # int delta(x)^2 dx
 VOLUME = "vol"               # int dx over an argument nothing depends on
 
 
-@dataclass(frozen=True, slots=True)
-class DivergentConstant:
+class DivergentConstant(NamedTuple):
     kind: str
     order: MultiIndex = ()
-
-    def key(self):
-        return (self.kind, self.order)
 
 
 def named(name: str, var: VarId, deriv=None) -> NamedFunction:
@@ -161,7 +152,8 @@ def pi_(var: VarId, deriv=None) -> FieldFactor:
 
 
 def delta(left: VarId, right: VarId | None, deriv=None) -> DeltaFactor:
-    return DeltaFactor(mi_coerce(deriv), left, right)
+    """delta^(deriv)(left - right); right None gives the anchored delta."""
+    return DeltaFactor(mi_coerce(deriv), left, ANCHOR if right is None else right)
 
 
 # -- coefficient ---------------------------------------------------------------
@@ -188,8 +180,7 @@ class Coefficient:
             return Coefficient(Fraction(0))
         return Coefficient(
             scalar, int(h), i, int(m),
-            tuple(sorted(divergent, key=lambda d: d.key())),
-            tuple(sorted(functions, key=lambda f: f.key())),
+            tuple(sorted(divergent)), tuple(sorted(functions)),
         )
 
     def mul(self, other: "Coefficient") -> "Coefficient":
@@ -220,14 +211,6 @@ class Coefficient:
     def is_zero(self) -> bool:
         return self.scalar == 0
 
-    def merge_key(self):
-        return (self.h, self.i, self.m,
-                tuple(d.key() for d in self.divergent),
-                tuple(f.key() for f in self.functions))
-
-
-ONE = Coefficient.make(1)
-
 
 # -- terms and symbols ---------------------------------------------------------
 
@@ -242,12 +225,10 @@ class Term:
     deltas: tuple[DeltaFactor, ...]
 
     def key(self):
-        return (
-            len(self.dummies),
-            tuple(f.key() for f in self.factors),
-            tuple(d.key() for d in self.deltas),
-            self.coeff.merge_key(),
-        )
+        """The term without its scalar: like terms share it."""
+        c = self.coeff
+        return (len(self.dummies), self.factors, self.deltas,
+                (c.h, c.i, c.m, c.divergent, c.functions))
 
     @property
     def pi_degree(self) -> int:
@@ -344,7 +325,7 @@ def sites(t: Term) -> dict:
         out.setdefault(fn.var, []).append(("func", idx, None))
     for idx, d in enumerate(t.deltas):
         out.setdefault(d.left, []).append(("delta", idx, "left"))
-        if d.right is not None:
+        if d.right is not ANCHOR:
             out.setdefault(d.right, []).append(("delta", idx, "right"))
     return out
 

@@ -75,6 +75,7 @@ def second_vderiv(s: Symbol, fields: tuple[str, str], var1: VarId, var2: VarId) 
 class SymbolCheck:
     is_symbol: bool
     witnesses: tuple[Term, ...]
+    canonical: Symbol  # the canonical form of the checked expression
 
 
 def _delta_terms_at(s: Symbol, var: VarId) -> list[Term]:
@@ -94,16 +95,18 @@ def check_symbol(s: Symbol) -> SymbolCheck:
     offending canonical terms are returned as witnesses.
     """
     test = _test_point(s)  # canonical forms bring no new free variable
-    witnesses: list[Term] = []
-    for field in (PHI, PI):
-        witnesses.extend(_delta_terms_at(vderiv(canonicalize(s), field, test), test))
-    return SymbolCheck(not witnesses, tuple(witnesses))
+    c = canonicalize(s)
+    witnesses = tuple(t for field in (PHI, PI)
+                      for t in _delta_terms_at(vderiv(c, field, test), test))
+    return SymbolCheck(not witnesses, witnesses, c)
 
 
-def require_symbol(s: Symbol, what: str = "operand") -> None:
+def require_symbol(s: Symbol, what: str = "operand") -> Symbol:
+    """The canonical form of `s`; NotASymbolError if `s` is no symbol."""
     chk = check_symbol(s)
     if not chk.is_symbol:
         raise NotASymbolError(
             f"{what} is not a functional of the fields "
             f"({len(chk.witnesses)} witness terms)"
         )
+    return chk.canonical

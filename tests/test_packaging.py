@@ -4,6 +4,8 @@ private helper that nothing uses."""
 
 import ast
 import importlib.metadata
+import subprocess
+import sys
 import tomllib
 from collections import Counter
 from pathlib import Path
@@ -19,6 +21,15 @@ def test_runtime_dependencies_are_installed():
         req = Requirement(spec)
         version = importlib.metadata.version(req.name)
         assert req.specifier.contains(version, prereleases=True), (spec, version)
+
+
+def test_import_leaves_sympy_and_scipy_out():
+    # quasiclassics, which needs them, loads on first use
+    code = ("import sys, hamalg\n"
+            "assert 'sympy' not in sys.modules and 'scipy' not in sys.modules\n"
+            "assert callable(hamalg.wkb_residual)\n"
+            "assert callable(hamalg.quasiclassics.quartic_case)\n")
+    subprocess.run([sys.executable, "-c", code], check=True)
 
 
 def _imported_names(tree):

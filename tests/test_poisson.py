@@ -2,10 +2,10 @@
 
 import pytest
 
-from hamalg import (LatticeConfig, NotASymbolError, RandomSymbolGenerator,
-                    bracket, canonicalize, check_algebra, cli, equals, grade,
-                    grade_decompose, multiply, parse_symbol, quantize,
-                    verify_bracket)
+from hamalg import (SESSION, LatticeConfig, NotASymbolError,
+                    RandomSymbolGenerator, bracket, canonicalize,
+                    check_algebra, cli, equals, grade, grade_decompose,
+                    multiply, parse_symbol, quantize, verify_bracket)
 from hamalg.parser import format_expression
 
 
@@ -97,6 +97,18 @@ def test_check_algebra_clean_run():
     d = rep.to_dict()
     assert d["passed"] is True
     assert "seconds" not in str(d)
+
+
+def test_check_algebra_runs_in_two_dimensions():
+    # the generator draws one derivative order per axis
+    saved = SESSION.dimension
+    SESSION.dimension = 2
+    try:
+        rep = check_algebra(seed=1, samples=2,
+                            laws=("antisymmetry", "bilinearity", "closure"))
+    finally:
+        SESSION.dimension = saved
+    assert rep.passed, rep.to_dict()
 
 
 NON_SYMBOLS = ("phi(y)", "int[x](phi(x)*delta(x-y))")

@@ -1,5 +1,6 @@
 """Canonical form and term algebra."""
 
+import json
 import random
 from fractions import Fraction
 from math import comb
@@ -11,10 +12,10 @@ from hamalg import (SESSION, CoincidentDeltaError, Coefficient, DeltaFactor,
                     MaxDerivativeError, NamedFunction, ParseError,
                     RandomSymbolGenerator, Symbol, Term, ZERO, bracket,
                     canonicalize, ccr_reduce, delta, dummy, equals, free_var,
-                    make_term, multiply, named, parse_symbol, phi, pi_,
-                    quantize)
+                    from_json, make_term, multiply, named, parse_operator,
+                    parse_symbol, phi, pi_, quantize, to_json)
 from hamalg import _rewrite, quantum
-from hamalg.terms import (DELTA_AT_ZERO, INT_DELTA_SQ, VOLUME, concat,
+from hamalg.terms import (ANCHOR, DELTA_AT_ZERO, INT_DELTA_SQ, VOLUME, concat,
                           relabel, shift_dummies, sites)
 from hamalg.parser import format_expression
 
@@ -83,6 +84,26 @@ def test_delta_contraction_and_orientation():
 
 def test_anchored_delta_substitutes_the_free_point():
     assert format_expression(C("int[x]( delta(x-u)*phi(x)^2 )")) == "phi(u)^2"
+
+
+def test_the_anchor_alone_orders_two_deltas():
+    # same left point and order, so only the right argument decides, and
+    # ANCHOR sorts before every variable, in both modes
+    assert free_var("s1") < free_var("s2")  # names no other test interns
+    assert format_expression(C("delta(s1-s2;1)*delta(s1;1)")) \
+        == "delta(s1;1)*delta(s1-s2;1)"
+    op = parse_operator("delta(s1-s2;1)*delta(s1;1)*Phi(s2)")
+    assert format_expression(quantum.op_canonicalize(op)) \
+        == "Phi(s2)*delta(s1;1)*delta(s1-s2;1)"
+
+
+def test_anchored_delta_round_trips_through_json():
+    assert free_var("s1") < free_var("s2")
+    s = C("int[z]( delta(s1;1)*delta(s1-s2;1)*phi(z)^2 )")
+    assert json.loads(to_json(s))["terms"][0]["deltas"][0]["right"] is None
+    back = from_json(to_json(s))
+    assert back == s
+    assert back.terms[0].deltas[0].right is ANCHOR
 
 
 def test_derivative_delta_acts_by_parts():
