@@ -2,7 +2,7 @@
 
 Pipeline per term (first applicable rule fires):
 
-1. (at push) drop exact zeros, rename dummies by first occurrence, orient
+1. (at push) drop exact zeros, rename dummies canonically (below), orient
    delta arguments (smaller variable first) and sort;
 2. coincident deltas: delta^(k)(v - v) becomes the formal constant
    delta^(k)(0) in operator mode and is an error in classical mode;
@@ -23,26 +23,27 @@ Pipeline per term (first applicable rule fires):
    expressions differing only by which delta argument carries the fields
    coincide structurally;
 8. integration by parts per dummy: the greatest factor's derivative order is
-   reduced (with chain-rule grouping) while a multiset measure on (base,
-   order) pairs strictly decreases; ties or non-decreasing rewrites leave
-   the term alone.
+   reduced (with chain-rule grouping) while the multiset of (base, order)
+   pairs at the dummy strictly decreases, which holds exactly when every
+   other piece, raised, stays below the top; else the term is left alone.
 
 Pending terms merge by Term.key and pop (_drain) greatest _priority first: the
-number of deltas, the sum of their orders, then _measure over every dummy
-(the Dershowitz-Manna multiset order).  Every rule output is strictly
-smaller than its input, so all contributions to a shape merge before it is
-rewritten, once, except the ties of _orphan (same pieces) and of _transfer
-with j = 0 (a piece moves between free variables), which pop after what is
-queued at their priority.  Every rule is linear in the scalar, so the order
-decides only how much work is repeated.
+number of deltas, the sum of their orders, then the sorted-descending (base,
+order) pairs over every dummy (the Dershowitz-Manna multiset order).  Every
+rule output is strictly smaller than its input, so all contributions to a
+shape merge before it is rewritten, once, except the ties of _orphan (same
+pieces) and of _transfer with j = 0 (a piece moves between free variables),
+which pop after what is queued at their priority.  Every rule is linear in
+the scalar, so the order decides only how much work is repeated.
 
-Afterwards dummies are relabeled canonically by one sort on their signatures
-(what sits at each dummy), factor lists are sorted in classical mode (operator
-words keep their order), and like terms merge.  The sort is canonical because
-contraction leaves no two-argument delta on a dummy, so nothing links two
-dummies and dummies with equal signatures swap freely; the relabeling checks
-that invariant and raises if it fails.  Pieces sort, and terms sort by
-Term.key, in their own tuple order (see the terms module).
+Pushed terms are relabeled canonically at once: dummies renamed by one sort
+on their signatures (what sits at each dummy), classical factor lists sorted
+(operator words keep their order).  At a fixpoint the sort is canonical, as
+contraction leaves no two-argument delta on a dummy, so dummies with equal
+signatures swap freely; the exit checks that invariant.  Within one call a
+raw term pushed again (equal up to its scalar, dummy list included) is
+rescaled from its first normalization; nothing outlives the call.  Pieces
+and terms sort in their own tuple order (see the terms module).
 
 Every rule reads a term through one index, terms.sites (what sits at each
 variable: factors, coefficient functions and delta sides), built once per
@@ -51,8 +52,8 @@ terms.relabel renames variables; _edit_slots, the one slot edit, shifts the
 orders of several factors, coefficient functions or deltas (and moves a
 factor or function to another point) in one rebuild, for differentiation,
 integration by parts, argument transfer and quantum._d_dx alike; and
-_accumulate adds like terms by Term.key, at push and in the final merge.
-_drain is the one rewrite queue, here and in quantum.ccr_reduce.
+_accumulate adds like terms by key.  _drain is the one rewrite queue, here
+and in quantum.ccr_reduce.
 """
 
 from __future__ import annotations
@@ -67,6 +68,7 @@ from .errors import (CoincidentDeltaError, HamalgError,
 from .terms import (
     ANCHOR,
     Coefficient,
+    DUMMY,
     DeltaFactor,
     DivergentConstant,
     FieldFactor,
@@ -92,22 +94,34 @@ def canonicalize_terms(terms, quantum: bool = False,
         transfer = not quantum
 
     # every rule is linear in the leading scalar, reads only the rest of the
-    # term, and is label-invariant, so pushed terms are alpha-normalized
-    # (sorted, dummies renamed by first occurrence) and in-flight duplicates
-    # merge; cancelling shapes disappear before they fan out
+    # term, and is label-invariant, so pushed terms are relabeled canonically
+    # and in-flight duplicates merge; cancelling shapes disappear before they
+    # fan out.  seen maps a raw term without its scalar (dummy list included,
+    # which Term.key leaves out) to (key, normalized term, sign flipped)
+    seen = {}
+
     def normalized(t):
-        if t.coeff.is_zero:
+        c = t.coeff
+        s = c.scalar
+        if s == 0:
             return None
-        if t.dummies:
-            t = _rename(t, _occurrence_order(t))
-        t = _normalize_rep(t, quantum)
-        return t.key(), t
+        raw = (t.dummies, t.factors, t.deltas, c.h, c.i, c.m, c.divergent, c.functions)
+        hit = seen.get(raw)
+        if hit is None:
+            nt = _canonical(t, quantum)
+            seen[raw] = hit = nt.key(), nt, nt.coeff.scalar != s
+            return hit[:2]
+        k, nt, flip = hit
+        c, s = nt.coeff, s if type(s) is Fraction else Fraction(s)
+        return k, Term(nt.dummies, Coefficient(-s if flip else s, c.h, c.i, c.m,
+                                               c.divergent, c.functions),
+                       nt.factors, nt.deltas)
 
     done = _drain(terms, normalized, _priority,
                   lambda t: _rewrite_step(t, quantum, transfer))
-    # fixpoint terms are alpha-normalized and merged by key already, so the
-    # canonical relabeling runs once per distinct shape
-    return _merge(_finalize(t, quantum) for t in done.values())
+    for t in done.values():
+        _check_fixpoint(t)
+    return tuple(done[k] for k in sorted(done))
 
 
 def _drain(terms, keyed, priority, step) -> dict:
@@ -151,10 +165,12 @@ class _Greatest(tuple):
 
 
 def _priority(t: Term) -> _Greatest:
-    """The queue order: deltas, their orders, then _measure at dummies."""
-    return _Greatest((len(t.deltas), sum(mi_abs(d.deriv) for d in t.deltas),
-                      _measure(p for p in t.factors + t.coeff.functions
-                               if p.var.is_dummy)))
+    """The queue order: deltas, their orders, then the sorted-descending (is a
+    field, name, order) of the pieces at dummies: functions below phi below pi."""
+    return _Greatest((len(t.deltas), sum(sum(d.deriv) for d in t.deltas),
+                      tuple(sorted([(type(p) is FieldFactor, p[0], p.deriv)
+                                    for p in t.factors + t.coeff.functions
+                                    if p.var.kind == DUMMY], reverse=True))))
 
 
 # -- single rewrite step -------------------------------------------------------
@@ -283,12 +299,17 @@ def _compositions(n: int, r: int):
             yield (first,) + rest
 
 
-def _diff_multi(t: Term, v: VarId, k) -> list[Term]:
+def _diff_multi(t: Term, v: VarId, k, moved: Term | None = None) -> list[Term]:
     """D^k of `t` in `v` by the multinomial Leibniz rule: one term for each
     split j_1 + ... + j_r = k over the slots at `v`, weighted by
-    k!/(j_1!...j_r!); a delta with `v` on its right gives (-1)^|j|."""
+    k!/(j_1!...j_r!); a delta with `v` on its right gives (-1)^|j|.
+
+    `moved`, when given, is `t` relabeled with every piece at its index (as
+    terms.relabel leaves it): the splits are read off `t` and applied to
+    `moved`, so a contraction rebuilds each output once."""
+    moved = t if moved is None else moved
     if not any(k):
-        return [t]
+        return [moved]
     # a coincident delta is a constant in v
     slots = [sl for sl in sites(t).get(v, ())
              if sl[0] != "delta" or t.deltas[sl[1]].left != t.deltas[sl[1]].right]
@@ -302,7 +323,7 @@ def _diff_multi(t: Term, v: VarId, k) -> list[Term]:
                 w //= prod(map(factorial, j))
                 if slot[0] == "delta" and slot[2] == "right" and sum(j) % 2:
                     sign = -sign
-        out.append(_edit_slots(t, by, sign * w))
+        out.append(_edit_slots(moved, by, sign * w))
     return out
 
 
@@ -322,9 +343,8 @@ def _contract(t: Term):
         idx = t.deltas.index(d)
         stripped = Term(t.dummies, t.coeff.scale(sign), t.factors,
                         t.deltas[:idx] + t.deltas[idx + 1:])
-        dummies = tuple(x for x in t.dummies if x != v)
-        return [relabel(tt, {v: keep}, dummies)
-                for tt in _diff_multi(stripped, v, d.deriv)]
+        moved = relabel(stripped, {v: keep}, tuple(x for x in t.dummies if x != v))
+        return _diff_multi(stripped, v, d.deriv, moved)
     return None
 
 
@@ -361,20 +381,11 @@ def _transfer(t: Term, at: dict):
 # -- integration by parts ---------------------------------------------------------
 
 
-def _base_rank(piece) -> tuple:
-    """Functions, by name, below phi below pi ("phi" < "pi")."""
-    return (type(piece) is FieldFactor, piece[0])
-
-
-def _pieces(t: Term, slots) -> list:
-    """The factors and functions at `slots`, which hold no delta."""
-    return [(t.factors if sl[0] == "factor" else t.coeff.functions)[sl[1]]
-            for sl in slots]
-
-
 def _ibp_keys(t: Term, slots):
-    """(base, deriv, slot) keys of the factors/functions at `slots`."""
-    return [(_base_rank(p), p.deriv, sl) for p, sl in zip(_pieces(t, slots), slots)]
+    """(base, deriv, slot) keys of the factors/functions at `slots` (no
+    delta); base ranks functions, by name, below phi below pi."""
+    pieces = [(t.factors if sl[0] == "factor" else t.coeff.functions)[sl[1]] for sl in slots]
+    return [((type(p) is FieldFactor, p[0]), p.deriv, sl) for p, sl in zip(pieces, slots)]
 
 
 def _ibp(t: Term, at: dict):
@@ -383,35 +394,22 @@ def _ibp(t: Term, at: dict):
         if not slots or any(sl[0] == "delta" for sl in slots):
             continue
         keys = _ibp_keys(t, slots)
-        top = max(keys, key=lambda k: (k[0], k[1]))
-        base, K, top_slot = top
-        if mi_abs(K) == 0:
+        base, K, top_slot = max(keys, key=lambda k: (k[0], k[1]))
+        # an underived or tied maximum: no sound single-factor reduction
+        if not any(K) or sum(1 for k in keys if (k[0], k[1]) == (base, K)) > 1:
             continue
-        if sum(1 for k in keys if (k[0], k[1]) == (base, K)) > 1:
-            continue  # tied maximum: no sound single-factor reduction
         axis = next(a for a, c in enumerate(K) if c > 0)
-        Km = tuple(c - (1 if a == axis else 0) for a, c in enumerate(K))
-        grouped = [k[2] for k in keys if (k[0], k[1]) == (base, Km)]
-        p = len(grouped)
-        rslots = [k[2] for k in keys
-                  if k[2] != top_slot and k[2] not in grouped]
-        e = mi_unit(axis)
-        down = tuple(-a for a in e)
-        scale = Fraction(-1, p + 1)
-        new_terms = [_edit_slots(t, {top_slot: down, s: e}, scale)
-                     for s in rslots]
-        # _edit_slots leaves every piece at its index and point, so the
-        # slots of a term index the terms rebuilt from it too
-        old_measure = _measure(_pieces(t, slots))
-        if all(_measure(_pieces(nt, slots)) < old_measure for nt in new_terms):
-            return new_terms
+        Km = K[:axis] + (K[axis] - 1,) + K[axis + 1:]
+        p = sum(1 for k in keys if (k[0], k[1]) == (base, Km))
+        rest = [k for k in keys if k[2] != top_slot and (k[0], k[1]) != (base, Km)]
+        # the multiset loses (base, K) and gains (base, Km) < (base, K), so
+        # it decreases exactly when every raised piece stays below the top
+        if all((b, d[:axis] + (d[axis] + 1,) + d[axis + 1:]) < (base, K)
+               for b, d, _ in rest):
+            e = mi_unit(axis)
+            down, scale = tuple(-a for a in e), Fraction(-1, p + 1)
+            return [_edit_slots(t, {top_slot: down, s: e}, scale) for _, _, s in rest]
     return None
-
-
-def _measure(pieces) -> tuple:
-    """Sorted-descending (base, deriv) keys of `pieces`; tuple order =
-    multiset order."""
-    return tuple(sorted(((_base_rank(p), p.deriv) for p in pieces), reverse=True))
 
 
 # -- relabeling, sorting, merging ---------------------------------------------
@@ -431,14 +429,6 @@ def _signature(t: Term, slots, quantum: bool) -> tuple:
         elif side == "left":
             desc.append(("DL", t.deltas[idx].deriv))
     return tuple(sorted(desc))
-
-
-def _occurrence_order(t: Term) -> list[VarId]:
-    """Dummies by first appearance across factors, functions, deltas; unused
-    dummies last, in order."""
-    at = sites(t)
-    return ([v for v in at if v.is_dummy]
-            + sorted(v for v in t.dummies if v not in at))
 
 
 def _rename(t: Term, order: list[VarId]) -> Term:
@@ -468,16 +458,25 @@ def _normalize_rep(t: Term, quantum: bool) -> Term:
     return Term(t.dummies, coeff, factors, deltas)
 
 
-def _finalize(t: Term, quantum: bool) -> Term:
+def _canonical(t: Term, quantum: bool) -> Term:
+    """`t` with its dummies renamed by one sort on their signatures, deltas
+    oriented and what is sortable sorted: the push normalization, and the
+    canonical labeling once `t` is a fixpoint (see _check_fixpoint)."""
+    if t.dummies:
+        at = sites(t)
+        t = _rename(t, sorted(t.dummies,
+                              key=lambda v: _signature(t, at.get(v, ()), quantum)))
+    return _normalize_rep(t, quantum)
+
+
+def _check_fixpoint(t: Term) -> None:
+    """Refuse a fixpoint where a delta links an integration dummy: there the
+    signature sort of _canonical would not be canonical."""
     for d in t.deltas:
         if d.right is not ANCHOR and (d.left.is_dummy or d.right.is_dummy):
             raise HamalgError(
-                f"delta of order {d.deriv} on ({d.left!r}, {d.right!r}) links "
-                "an integration dummy at the fixpoint; contraction should "
-                "have removed it")
-    at = sites(t)
-    order = sorted(t.dummies, key=lambda v: _signature(t, at.get(v, ()), quantum))
-    return _normalize_rep(_rename(t, order), quantum)
+                f"delta of order {d.deriv} on ({d.left!r}, {d.right!r}) links an integration "
+                "dummy at the fixpoint; contraction should have removed it")
 
 
 def _accumulate(acc: dict, k, t: Term) -> bool:
@@ -495,11 +494,3 @@ def _accumulate(acc: dict, k, t: Term) -> bool:
         acc[k] = Term(old.dummies, Coefficient(s, c.h, c.i, c.m, c.divergent, c.functions),
                       old.factors, old.deltas)
     return False
-
-
-def _merge(terms) -> tuple[Term, ...]:
-    acc: dict = {}
-    for t in terms:
-        if not t.coeff.is_zero:
-            _accumulate(acc, t.key(), t)
-    return tuple(acc[k] for k in sorted(acc))

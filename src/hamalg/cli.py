@@ -22,6 +22,7 @@ from .parser import format_expression, parse_operator, parse_symbol, to_json
 from .poisson import bracket, check_algebra, grade, grade_decompose
 from .quantum import (ccr_reduce, commutator, correspondence_check,
                       leibniz_residual, quantize)
+from .session import SESSION
 from .suite import PROFILES, run_suite
 from .terms import equals, free_var, multiply
 from .variational import vderiv
@@ -439,6 +440,7 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 2
     try:
+        SESSION.dimension  # reads and checks HAMALG_DIM, a usage error
         return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

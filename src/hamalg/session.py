@@ -23,9 +23,8 @@ RESERVED = frozenset(
 
 class Session:
     def __init__(self, dimension: int | None = None):
-        if dimension is None:
-            dimension = int(os.environ.get("HAMALG_DIM", "1"))
-        self._dimension = self._check_dim(dimension)
+        # None: HAMALG_DIM, read and checked on first use, not at import
+        self._dimension = None if dimension is None else self._check_dim(dimension)
         self.max_derivative_order = 8
         self._functions: set[str] = set(_DEFAULT_FUNCTIONS)
         self._free_names: list[str] = []
@@ -39,6 +38,13 @@ class Session:
 
     @property
     def dimension(self) -> int:
+        if self._dimension is None:
+            raw = os.environ.get("HAMALG_DIM", "1")
+            try:
+                self._dimension = self._check_dim(int(raw))
+            except ValueError:
+                raise ValueError(
+                    f"HAMALG_DIM must be a positive integer, got {raw!r}") from None
         return self._dimension
 
     @dimension.setter

@@ -1,6 +1,7 @@
 """End-to-end runs of every subcommand."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -33,6 +34,16 @@ def test_vderiv_refuses_a_point_in_the_expression(text):
     out = run("vderiv", text, "--field", "phi", "--at", "y")
     assert out.returncode == 2
     assert out.stderr.startswith("error: test point already occurs")
+    assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("value", ["0", "abc"])
+def test_invalid_dimension_is_a_usage_error(value):
+    out = subprocess.run([sys.executable, "-m", "hamalg", "grade", "int[x](phi(x))"],
+                         capture_output=True, text=True,
+                         env={**os.environ, "HAMALG_DIM": value})
+    assert out.returncode == 2
+    assert out.stderr.startswith("error: HAMALG_DIM")
     assert "Traceback" not in out.stderr
 
 

@@ -1,20 +1,22 @@
 """Canonical forms pinned in the repository: brackets, products, variational
 derivatives and nested brackets of symbols drawn from criterion 1's
-generator, as format_expression prints them.
+generator, as format_expression prints them, in one dimension and in two.
 
-The file is written by
+The files are written by
 
     PYTHONPATH=src python tests/test_corpus.py
 
-Rewrite it only for an intended change of canonical forms.
+Rewrite them only for an intended change of canonical forms.
 """
 
 from pathlib import Path
 
-from hamalg import RandomSymbolGenerator, bracket, free_var, multiply, vderiv
+from hamalg import (SESSION, RandomSymbolGenerator, bracket, free_var,
+                    multiply, vderiv)
 from hamalg.parser import format_expression
 
 CORPUS = Path(__file__).parent / "data" / "canonical_corpus.txt"
+CORPUS_2D = Path(__file__).parent / "data" / "canonical_corpus_2d.txt"
 
 
 def _generator():
@@ -43,10 +45,27 @@ def corpus_lines() -> list[str]:
     return lines
 
 
+def corpus_lines_2d() -> list[str]:
+    """The same lines in two dimensions, under check_algebra's raised
+    derivative bound."""
+    saved = SESSION.dimension, SESSION.max_derivative_order
+    SESSION.dimension = 2
+    SESSION.max_derivative_order = max(saved[1], 4 * (2 + 2))
+    try:
+        return corpus_lines()
+    finally:
+        SESSION.dimension, SESSION.max_derivative_order = saved
+
+
 def test_corpus_reproduces_the_pinned_canonical_forms():
     assert corpus_lines() == CORPUS.read_text().splitlines()
+
+
+def test_corpus_2d_reproduces_the_pinned_canonical_forms():
+    assert corpus_lines_2d() == CORPUS_2D.read_text().splitlines()
 
 
 if __name__ == "__main__":
     CORPUS.parent.mkdir(exist_ok=True)
     CORPUS.write_text("\n".join(corpus_lines()) + "\n")
+    CORPUS_2D.write_text("\n".join(corpus_lines_2d()) + "\n")

@@ -172,6 +172,13 @@ def relabeled(t, rng, keep_word=False):
                 tuple(factors), tuple(deltas))
 
 
+def relabeled_fixpoint(t, quantum):
+    """What canonicalize_terms makes of a fixpoint `t`: the exit's check,
+    then the relabeling it got at push."""
+    _rewrite._check_fixpoint(t)
+    return _rewrite._canonical(t, quantum)
+
+
 TIED = "f({0})*phi({0})^2*D(phi,1)({0})*pi({0})*delta({0};1)"
 
 
@@ -191,7 +198,7 @@ def test_canonical_form_ignores_dummy_labels(n):
         rng = random.Random(seed)
         (t,) = raw.terms
         assert canonicalize(Symbol((relabeled(t, rng),))) == want
-        assert _rewrite._finalize(relabeled(canon, rng), False) == canon
+        assert relabeled_fixpoint(relabeled(canon, rng), False) == canon
 
 
 def test_operator_canonical_form_ignores_dummy_labels():
@@ -209,7 +216,7 @@ def test_operator_canonical_form_ignores_dummy_labels():
         rng = random.Random(seed)
         assert _rewrite.canonicalize_terms(
             (relabeled(t, rng, keep_word=True),), quantum=True) == want
-        assert _rewrite._finalize(relabeled(canon, rng, keep_word=True), True) == canon
+        assert relabeled_fixpoint(relabeled(canon, rng, keep_word=True), True) == canon
 
 
 def test_relabeling_renames_once(monkeypatch):
@@ -227,7 +234,7 @@ def test_relabeling_renames_once(monkeypatch):
         return rename(term, order)
 
     monkeypatch.setattr(_rewrite, "_rename", counting)
-    assert _rewrite._finalize(t, False) == t
+    assert relabeled_fixpoint(t, False) == t
     assert len(calls) == 1
 
 
@@ -236,7 +243,7 @@ def test_relabeling_refuses_a_delta_linking_dummies():
     t = make_term(1, dummies=(d0, d1), factors=(phi(d0), phi(d1)),
                   deltas=(delta(d0, d1),))
     with pytest.raises(HamalgError, match="delta"):
-        _rewrite._finalize(t, False)
+        _rewrite._check_fixpoint(t)
 
 
 def test_relabel_substitutes_simultaneously():
@@ -377,6 +384,80 @@ def test_canonical_forms_in_two_dimensions():
         SESSION.dimension = saved
 
 
+def measure(pieces):
+    """Sorted-descending (is a field, name, order) of `pieces`: list order is
+    the multiset (Dershowitz-Manna) order _ibp must decrease."""
+    return sorted(((type(p) is FieldFactor, p[0], p.deriv) for p in pieces),
+                  reverse=True)
+
+
+def ibp_decreases(pieces):
+    """The reference for _ibp at one dummy by full multiset comparison:
+    lower the unique top one unit on its first nonzero axis, raise each
+    other piece not of the lowered shape, and compare measures.  None when
+    no step applies (a tied or underived top)."""
+    keys = [(type(p) is FieldFactor, p[0], p.deriv) for p in pieces]
+    top = max(keys)
+    if not any(top[2]) or keys.count(top) > 1:
+        return None
+    axis = next(a for a, c in enumerate(top[2]) if c)
+
+    def shift(k, by):
+        return k[:2] + (tuple(c + by * (a == axis) for a, c in enumerate(k[2])),)
+
+    low, i = shift(top, -1), keys.index(top)
+    old = sorted(keys, reverse=True)
+    for j, k in enumerate(keys):
+        if j != i and k != low:
+            new = keys[:]
+            new[i], new[j] = low, shift(k, 1)
+            if not sorted(new, reverse=True) < old:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_ibp_decrease_check_matches_the_multiset_order(dim):
+    saved = SESSION.dimension
+    SESSION.dimension = dim
+    try:
+        rng, x = random.Random(dim), dummy(0)
+        makers = (phi, pi_, lambda v, k: named("f", v, k), lambda v, k: named("g", v, k))
+        seen = set()
+        for _ in range(400):
+            pieces = [rng.choice(makers)(x, [rng.randint(0, 2) for _ in range(dim)])
+                      for _ in range(rng.randint(1, 5))]
+            factors = [p for p in pieces if isinstance(p, FieldFactor)]
+            t = make_term(1, dummies=(x,), factors=factors,
+                          functions=[p for p in pieces if p not in factors])
+            want = ibp_decreases(factors + list(t.coeff.functions))
+            got = _rewrite._ibp(t, sites(t))
+            seen.add(want)
+            assert (got is not None) == bool(want)
+            for nt in got or ():
+                assert measure(nt.factors + nt.coeff.functions) < measure(pieces)
+        # in 1-D a raised piece of the top's base was at most K - 2 (K - 1 is
+        # the lowered shape, left out), so only 2-D has refusals
+        assert seen == ({None, True} if dim == 1 else {None, False, True})
+    finally:
+        SESSION.dimension = saved
+
+
+def test_ibp_refuses_a_raise_past_the_top_in_two_dimensions():
+    # the top is phi_[1,0]; moving its derivative onto phi_[0,5] gives
+    # phi_[1,5], above the top, so the measure would grow
+    saved = SESSION.dimension
+    SESSION.dimension = 2
+    try:
+        text = "int[x](D(phi,[1,0])(x)*D(phi,[0,5])(x))"
+        (t,) = P(text).terms
+        assert ibp_decreases(t.factors) is False
+        assert _rewrite._ibp(t, sites(t)) is None
+        assert format_expression(C(text)) == "int[x]( D(phi,[0,5])(x)*D(phi,[1,0])(x) )"
+    finally:
+        SESSION.dimension = saved
+
+
 @pytest.mark.parametrize("r", range(1, 5))
 def test_diff_multi_gives_one_term_per_split(r):
     x = free_var("x")
@@ -420,24 +501,34 @@ def test_scale_matches_make(q):
 
 
 def _record_calls(monkeypatch):
-    """Record every canonicalize_terms call: its input, its mode and the key
-    of each term _rewrite_step rewrote.  quantum imports canonicalize_terms
-    by name, so it is replaced there too."""
+    """Record every canonicalize_terms call: its input, its mode, the key of
+    each term _rewrite_step rewrote, the terms it pushed back and the number
+    of _normalize_rep calls.  quantum imports canonicalize_terms by name, so
+    it is replaced there too."""
     calls = []
     canonicalize_terms, rewrite_step = _rewrite.canonicalize_terms, _rewrite._rewrite_step
+    normalize_rep = _rewrite._normalize_rep
 
     def recording_canonicalize(terms, quantum=False, transfer=None):
         terms = tuple(terms)
-        calls.append({"terms": terms, "mode": (quantum, transfer), "keys": []})
+        calls.append({"terms": terms, "mode": (quantum, transfer), "keys": [],
+                      "pushed": [], "normalized": 0})
         return canonicalize_terms(terms, quantum, transfer)
 
     def recording_step(t, quantum, transfer):
         calls[-1]["keys"].append(t.key())
-        return rewrite_step(t, quantum, transfer)
+        out = rewrite_step(t, quantum, transfer)
+        calls[-1]["pushed"] += out or ()
+        return out
+
+    def counting_normalize(t, quantum):
+        calls[-1]["normalized"] += 1
+        return normalize_rep(t, quantum)
 
     monkeypatch.setattr(_rewrite, "canonicalize_terms", recording_canonicalize)
     monkeypatch.setattr(quantum, "canonicalize_terms", recording_canonicalize)
     monkeypatch.setattr(_rewrite, "_rewrite_step", recording_step)
+    monkeypatch.setattr(_rewrite, "_normalize_rep", counting_normalize)
     return calls
 
 
@@ -464,6 +555,18 @@ def test_each_key_is_rewritten_once_per_call(monkeypatch):
     assert sum(len(c["keys"]) for c in calls) > 100
     for c in calls:
         assert len(set(c["keys"])) == len(c["keys"])
+
+
+def test_each_raw_term_is_normalized_once_per_call(monkeypatch):
+    # a raw term (dummy list included) pushed again within one call is only
+    # rescaled, and a fixpoint is not normalized a second time
+    calls = _drive_engine(monkeypatch)
+    assert sum(len(c["terms"]) + len(c["pushed"]) for c in calls) \
+        > sum(c["normalized"] for c in calls) > 100
+    for c in calls:
+        raw = {(t.dummies, t.key()) for t in c["terms"] + tuple(c["pushed"])
+               if not t.coeff.is_zero}
+        assert c["normalized"] == len(raw)
 
 
 def _same_sum_reshuffled(terms, rng):
