@@ -1,12 +1,95 @@
-"""Text format and JSON serialization."""
+"""Text format and JSON serialization.
+
+tests/data/parse_corpus.txt pins the raw parse (before any
+canonicalization) of a fixed list of texts, one line each: the text, " = ",
+then to_json of what parse_symbol or parse_operator returns.  It is written by
+
+    PYTHONPATH=src python tests/test_parser.py
+
+Rewrite it only for an intended change of the parser's output.
+"""
 
 import json
+from pathlib import Path
 
 import pytest
 
-from hamalg import (ParseError, RandomSymbolGenerator, canonicalize, equals,
-                    from_json, parse_operator, parse_symbol, to_json)
+from hamalg import (SESSION, ParseError, RandomSymbolGenerator, canonicalize,
+                    equals, from_json, parse_operator, parse_symbol, to_json)
 from hamalg.parser import format_expression
+
+PARSE_CORPUS = Path(__file__).parent / "data" / "parse_corpus.txt"
+
+# integrals that the products and powers below combine; the last two refer
+# to a variable bound outside them
+_BLOCKS = ["int[x](f(x)*phi(x))",
+           "int[x,y]( D(pi,1)(x)*phi(y)*delta(x-y;1) )",
+           "int[y]( pi(y)*delta(y-x) )",
+           "int[z]( g(z)*phi(z)*D(phi,2)(x) )"]
+
+SYMBOL_TEXTS = [
+    "0", "7", "-3/4", "2*3/6", "delta0", "delta0(2)*vol", "intdelta2*m^2",
+    "h^2*i*m*delta0(1)*vol*intdelta2", "i*i*phi(u)", "i^3*pi(u)*h",
+    "phi(u)", "D(phi,2)(u)*D(pi,1)(v)", "f(v)*D(g,1)(u)*phi(u)",
+    "delta(u)", "delta(u;2)", "delta(u-v)", "delta(u-v;1)*phi(v)",
+    "-(phi(u) - pi(u))/3", "(phi(u) + pi(u) - 2*h)^3", "(phi(u)*pi(v))^0",
+    "0*int[x](f(x)*phi(x))", "int[x]( phi(x)^0 )",
+    "int[x](phi(x)*pi(x))",
+    "int[x,y]( f(y)*phi(x)*D(pi,1)(y)*delta(x-y) )",
+    "int[x]( phi(x)*delta(x;1) )*int[y]( g(y)*pi(y) )",
+    "int[x]( phi(x)*int[y]( pi(y)*delta(x-y;1) ) )",
+    "int[x]( g(x)*(int[y]( phi(y)*f(x) ))^2 )",
+    "int[x]( (phi(x) + int[y](pi(y)*delta(y-x)))^2 )",
+    "int[x](int[y](int[z]( phi(x)*phi(y)*phi(z)*delta(x-z) )))",
+    "int[x]( (int[y]( (int[z]( pi(z)*delta(z-y)*phi(x) ))^2 ))^2 )",
+    "(int[x](f(x)*phi(x)))^3", "(int[x](phi(x)) + pi(u))^2",
+    "int[x,y]( (m^2/2)*phi(x)^2*delta(x-y) )*int[z](f(z)*pi(z))",
+    "(int[x](phi(x)*delta(x;1))*int[y](pi(y)))^2 - vol*delta0(2)",
+    "2*(int[x](f(x)*phi(x)*int[y](g(y)*pi(y)*delta(x-y))))^2",
+    "int[x]( D(phi,1)(x)^2 + m^2*phi(x)^2 )/2 + int[y](pi(y)^2)/2",
+    "-h*i*(int[x](pi(x)*f(x)) - 3*int[x](phi(x)))^2",
+]
+SYMBOL_TEXTS += [f"({a})*({b})" for a in _BLOCKS[:2] for b in _BLOCKS[:2]]
+SYMBOL_TEXTS += [f"({a} + {b})^2" for a, b in zip(_BLOCKS[:1], _BLOCKS[1:2])]
+SYMBOL_TEXTS += [f"int[x]( ({a})^2*({b} - {a}) )"
+                 for a in _BLOCKS[2:] for b in _BLOCKS[2:]]
+
+OPERATOR_TEXTS = [
+    "qint[x]( Phi(x)*Pi(x) )", "qint[x]( Pi(x)*Phi(x)*Pi(x) )",
+    "Phi(u)*Pi(v) - Pi(v)*Phi(u)", "(qint[x](Phi(x)^2))^2",
+    "h*i*qint[x,y]( Pi(x)*D(Phi,1)(y)*delta(x-y) )",
+    "qint[x]( Pi(x)*qint[y]( Phi(y)*delta(x-y;2) ) )",
+    "(Phi(u) + Pi(u))^3", "delta0(0)*Phi(u)*Pi(u)/2",
+    "(qint[x]( f(x)*Pi(x) ) + Phi(u))^2",
+]
+
+SYMBOL_TEXTS_2D = [
+    "int[x]( D(phi,[1,0])(x)*D(phi,[0,2])(x) )",
+    "int[x,y]( D(pi,[0,1])(y)*phi(x)*delta(x-y;[1,1]) )",
+    "delta0([2,0])*vol", "delta(u;[0,1])*D(pi,[2,0])(u)",
+    "(int[x](f(x)*D(phi,[1,1])(x)))^2",
+    "int[x]( phi(x)*int[y]( D(g,[0,1])(y)*delta(y-x;[1,0]) ) )",
+]
+
+OPERATOR_TEXTS_2D = ["qint[x]( D(Pi,[1,0])(x)*Phi(x) )"]
+
+
+def parse_corpus_lines() -> list[str]:
+    def lines(texts, parse):
+        return [f"{text} = {to_json(parse(text))}" for text in texts]
+    out = lines(SYMBOL_TEXTS, parse_symbol) + lines(OPERATOR_TEXTS, parse_operator)
+    saved = SESSION.dimension
+    SESSION.dimension = 2
+    try:
+        out += lines(SYMBOL_TEXTS_2D, parse_symbol)
+        out += lines(OPERATOR_TEXTS_2D, parse_operator)
+    finally:
+        SESSION.dimension = saved
+    return out
+
+
+def test_parse_corpus_reproduces_the_pinned_raw_parse():
+    assert parse_corpus_lines() == PARSE_CORPUS.read_text().splitlines()
 
 
 def test_roundtrip_random_symbols():
@@ -95,3 +178,8 @@ def test_power_of_an_integral_binds_fresh_dummies(k):
     want = "int[" + ",".join(names) + "]( " + "*".join(
         [f"f({v})" for v in names] + [f"phi({v})" for v in names]) + " )"
     assert format_expression(canonicalize(parse_symbol(f"({one})^{k}"))) == want
+
+
+if __name__ == "__main__":
+    PARSE_CORPUS.parent.mkdir(exist_ok=True)
+    PARSE_CORPUS.write_text("\n".join(parse_corpus_lines()) + "\n")
