@@ -18,7 +18,7 @@ from .errors import (CausticError, DeclarationError, HamalgError, LatticeError,
                      ParseError, PreconditionError)
 from .lattice import (LatticeConfig, default_binding, kg_energy_drift, kg_flow,
                       random_profile, verify_bracket)
-from .parser import format_expression, parse_operator, parse_symbol, to_json
+from .parser import format_expression, parse_operator, parse_symbol, to_json_dict
 from .poisson import bracket, check_algebra, grade, grade_decompose
 from .quantum import (ccr_reduce, commutator, correspondence_check,
                       leibniz_residual, quantize)
@@ -49,20 +49,20 @@ def _emit(args, payload, lines) -> None:
 
 def _cmd_vderiv(args) -> int:
     out = vderiv(parse_symbol(args.expression), args.field, free_var(args.at))
-    _emit(args, {"field": args.field, "at": args.at, "result": json.loads(to_json(out))},
+    _emit(args, {"field": args.field, "at": args.at, "result": to_json_dict(out)},
           [format_expression(out)])
     return 0
 
 
 def _cmd_bracket(args) -> int:
     out = bracket(parse_symbol(args.first), parse_symbol(args.second))
-    _emit(args, {"result": json.loads(to_json(out))}, [format_expression(out)])
+    _emit(args, {"result": to_json_dict(out)}, [format_expression(out)])
     return 0
 
 
 def _cmd_multiply(args) -> int:
     out = multiply(parse_symbol(args.first), parse_symbol(args.second))
-    _emit(args, {"result": json.loads(to_json(out))}, [format_expression(out)])
+    _emit(args, {"result": to_json_dict(out)}, [format_expression(out)])
     return 0
 
 
@@ -103,7 +103,7 @@ def _cmd_check_algebra(args) -> int:
 
 def _cmd_quantize(args) -> int:
     out = quantize(parse_symbol(args.expression), scheme=args.scheme)
-    _emit(args, {"scheme": args.scheme, "result": json.loads(to_json(out))},
+    _emit(args, {"scheme": args.scheme, "result": to_json_dict(out)},
           [format_expression(out)])
     return 0
 
@@ -113,7 +113,7 @@ def _cmd_commutator(args) -> int:
                      grouping=args.grouping)
     if not args.no_reduce:
         out = ccr_reduce(out)
-    _emit(args, {"reduced": not args.no_reduce, "result": json.loads(to_json(out))},
+    _emit(args, {"reduced": not args.no_reduce, "result": to_json_dict(out)},
           [format_expression(out)])
     return 0
 

@@ -126,7 +126,6 @@ def default_binding() -> NumericBinding:
 class LatticeFunctional:
     cfg: LatticeConfig
     bank: TermBank
-    label: str = ""
 
     def __call__(self, state: LatticeState) -> float:
         return _kernels.functional_value(self.bank, state.phi, state.pi)
@@ -211,7 +210,7 @@ def discretize(s: Symbol, cfg: LatticeConfig, bind: NumericBinding | None = None
 
     bank = TermBank(cfg.n, cfg.delta, tuple(encoded),
                     _kernels.stencil_weights(kmax, cfg.delta))
-    return LatticeFunctional(cfg=cfg, bank=bank, label=format_expression(s))
+    return LatticeFunctional(cfg=cfg, bank=bank)
 
 
 def numeric_bracket(f: LatticeFunctional, g: LatticeFunctional, state: LatticeState) -> float:
@@ -408,7 +407,10 @@ def kg_flow(cfg: LatticeConfig, m: float, t: float) -> KgFlowReport:
     c, d = kg_propagate(cfg, m, t, zero, eye)
     mat = np.block([[a, c], [b, d]])
     j = np.block([[zero, cfg.delta * eye], [-cfg.delta * eye, zero]])
-    defect = float(np.abs(mat.T @ j @ mat - j).max())
+    # mat.T @ j: j is two scaled identity blocks, so the column halves of
+    # mat.T swap and scale (one expression, so no product stays alive)
+    defect = float(np.abs(np.hstack([-cfg.delta * mat.T[:, n:],
+                                     cfg.delta * mat.T[:, :n]]) @ mat - j).max())
     return KgFlowReport(n=n, length=cfg.length, m=m, t=t, defect=defect, matrix=mat)
 
 

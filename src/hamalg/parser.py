@@ -19,13 +19,24 @@ Grammar (whitespace-insensitive):
 operator term; `phi`/`pi` are classical field values, `Phi`/`Pi` operator
 factors whose order within a product is the operator word.  Any other variable
 name is a free variable interned in the session.
+
+Every production returns a list of Terms; a product of two lists is
+terms.concat of each pair, which moves the right operand's own dummies past
+the left's, so the copies in a power bind fresh dummies.  Scope variables
+are labelled in source order, so an enclosing scope's variables are labelled
+before any dummy inside its body; as concat only moves labels upward, a
+moved label never meets an outer variable that the term refers to.
+parse_symbol and parse_operator then renumber each term's dummies 0.. in
+list order.  A product that would build more than EXPANSION_LIMIT terms is
+refused with a ParseError at its operator or exponent before any term is
+built.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DeclarationError, ParseError
@@ -47,12 +58,17 @@ from .terms import (
     VarId,
     DUMMY,
     FREE,
+    concat,
     dummy,
     free_var,
+    make_term,
     mi_coerce,
     relabel,
     sites,
 )
+
+#: most terms one product may build ((phi(u)+pi(u))^15 needs 32,768)
+EXPANSION_LIMIT = 20_000
 
 _TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\d+|[()\[\],;^*/+\-]|\S")
 
@@ -83,52 +99,13 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
-@dataclass
-class _Mono:
-    """One product collected during parsing."""
-    scalar: Fraction = Fraction(1)
-    h: int = 0
-    i: int = 0
-    m: int = 0
-    divergent: list = dc_field(default_factory=list)
-    functions: list = dc_field(default_factory=list)
-    factors: list = dc_field(default_factory=list)
-    deltas: list = dc_field(default_factory=list)
-    dummies: list = dc_field(default_factory=list)
-
-    def mul(self, other: "_Mono") -> "_Mono":
-        return _Mono(
-            self.scalar * other.scalar,
-            self.h + other.h, self.i + other.i, self.m + other.m,
-            self.divergent + other.divergent,
-            self.functions + other.functions,
-            self.factors + other.factors,
-            self.deltas + other.deltas,
-            self.dummies + other.dummies,
-        )
-
-    def to_term(self) -> Term:
-        # scope ids are allocated across the whole source; terms carry
-        # local labels, so rebase each one to its own 0.. sequence
-        # (before Coefficient.make sorts the functions by their variables)
-        t = relabel(Term((), Coefficient(self.scalar, functions=tuple(self.functions)),
-                         tuple(self.factors), tuple(self.deltas)),
-                    {old: dummy(k) for k, old in enumerate(self.dummies)},
-                    tuple(map(dummy, range(len(self.dummies)))))
-        return Term(t.dummies, Coefficient.make(self.scalar, self.h, self.i, self.m,
-                                                self.divergent, t.coeff.functions),
-                    t.factors, t.deltas)
-
-
-def _poly_mul(a: list[_Mono], b: list[_Mono]) -> list[_Mono]:
-    return [ma.mul(mb) for ma in a for mb in b]
-
-
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.scopes: list[dict[str, VarId]] = []
+        # labels scope variables in source order, an enclosing scope's before
+        # any in its body: the invariant concat's shift relies on (see above)
         self.dummy_counter = 0
         self.saw_quantum = False
         self.saw_classical = False
@@ -155,59 +132,43 @@ class _Parser:
 
     # -- grammar ---------------------------------------------------------------
 
-    def parse_expr(self) -> list[_Mono]:
+    def parse_expr(self) -> list[Term]:
         negate = False
         if self.peek().type == "-":
             self.next()
             negate = True
-        monos = self.parse_prod()
+        terms = self.parse_prod()
         if negate:
-            for m in monos:
-                m.scalar = -m.scalar
+            terms = _scaled(terms, -1)
         while self.peek().type in ("+", "-"):
             op = self.next().type
             rhs = self.parse_prod()
-            if op == "-":
-                for m in rhs:
-                    m.scalar = -m.scalar
-            monos = monos + rhs
-        return monos
+            terms = terms + (_scaled(rhs, -1) if op == "-" else rhs)
+        return terms
 
-    def parse_prod(self) -> list[_Mono]:
-        monos = self.parse_factor()
+    def parse_prod(self) -> list[Term]:
+        terms = self.parse_factor()
         while self.peek().type in ("*", "/"):
-            op = self.next().type
-            if op == "/":
+            op = self.next()
+            if op.type == "/":
                 t = self.expect("INT")
-                q = Fraction(1, int(t.value))
-                for m in monos:
-                    m.scalar *= q
+                if int(t.value) == 0:
+                    raise ParseError("division by zero", t.line, t.col)
+                terms = _scaled(terms, Fraction(1, int(t.value)))
             else:
-                monos = _poly_mul(monos, self.parse_factor())
-        return monos
+                terms = _product(terms, self.parse_factor(), op)
+        return terms
 
-    def parse_factor(self) -> list[_Mono]:
-        monos = self.parse_atom()
+    def parse_factor(self) -> list[Term]:
+        terms = self.parse_atom()
         if self.peek().type == "^":
             self.next()
             t = self.expect("INT")
-            k = int(t.value)
-            out = [_Mono()]
-            for _ in range(k):
-                out = _poly_mul(out, [self._copy_mono(m) for m in monos])
-            monos = out
-        return monos
-
-    def _copy_mono(self, m: _Mono) -> _Mono:
-        # each copy binds fresh dummies, so a power of an integral is a
-        # product of independent integrals
-        fresh = {v: dummy(self.dummy_counter + k) for k, v in enumerate(m.dummies)}
-        self.dummy_counter += len(fresh)
-        t = relabel(Term((), Coefficient(m.scalar, functions=tuple(m.functions)),
-                         tuple(m.factors), tuple(m.deltas)), fresh, ())
-        return _Mono(m.scalar, m.h, m.i, m.m, list(m.divergent),
-                     list(t.coeff.functions), list(t.factors), list(t.deltas),
-                     list(fresh.values()))
+            out = [make_term(1)]
+            for _ in range(int(t.value)):
+                out = _product(out, terms, t)
+            terms = out
+        return terms
 
     def parse_order(self):
         if self.peek().type == "[":
@@ -238,34 +199,25 @@ class _Parser:
         except DeclarationError as e:
             raise ParseError(str(e), t.line, t.col)
 
-    def parse_atom(self) -> list[_Mono]:
+    def parse_atom(self) -> list[Term]:
         t = self.peek()
         if t.type == "INT":
             self.next()
-            return [_Mono(scalar=Fraction(int(t.value)))]
+            return [make_term(int(t.value))]
         if t.type == "(":
             self.next()
-            monos = self.parse_expr()
+            terms = self.parse_expr()
             self.expect(")")
-            return monos
+            return terms
         if t.type != "NAME":
             self.error(f"unexpected token {t.value!r}")
         name = t.value
-        if name == "h":
+        if name in ("h", "i", "m"):
             self.next()
-            return [_Mono(h=1)]
-        if name == "i":
+            return [make_term(1, **{name: 1})]
+        if name in (INT_DELTA_SQ, VOLUME):  # the kinds are their text names
             self.next()
-            return [_Mono(i=1)]
-        if name == "m":
-            self.next()
-            return [_Mono(m=1)]
-        if name == "intdelta2":
-            self.next()
-            return [_Mono(divergent=[DivergentConstant(INT_DELTA_SQ)])]
-        if name == "vol":
-            self.next()
-            return [_Mono(divergent=[DivergentConstant(VOLUME)])]
+            return [make_term(1, divergent=(DivergentConstant(name),))]
         if name == "delta0":
             self.next()
             order = mi_coerce(None)
@@ -273,7 +225,7 @@ class _Parser:
                 self.next()
                 order = self.parse_order()
                 self.expect(")")
-            return [_Mono(divergent=[DivergentConstant(DELTA_AT_ZERO, order)])]
+            return [make_term(1, divergent=(DivergentConstant(DELTA_AT_ZERO, order),))]
         if name in ("int", "qint"):
             return self.parse_integral(name == "qint")
         if name in ("phi", "pi", "Phi", "Pi"):
@@ -281,7 +233,7 @@ class _Parser:
             self.expect("(")
             var = self.parse_var()
             self.expect(")")
-            return [self._field_mono(name, mi_coerce(None), var)]
+            return [self._field_term(name, mi_coerce(None), var)]
         if name == "D":
             return self.parse_derivative()
         if name == "delta":
@@ -298,17 +250,17 @@ class _Parser:
         self.expect("(")
         var = self.parse_var()
         self.expect(")")
-        return [_Mono(functions=[NamedFunction(name, mi_coerce(None), var)])]
+        return [make_term(1, functions=(NamedFunction(name, mi_coerce(None), var),))]
 
-    def _field_mono(self, name: str, order, var: VarId) -> _Mono:
+    def _field_term(self, name: str, order, var: VarId) -> Term:
         if name in ("Phi", "Pi"):
             self.saw_quantum = True
         else:
             self.saw_classical = True
         field = PHI if name in ("phi", "Phi") else PI
-        return _Mono(factors=[FieldFactor(field, order, var)])
+        return make_term(1, factors=(FieldFactor(field, order, var),))
 
-    def parse_integral(self, quantum: bool) -> list[_Mono]:
+    def parse_integral(self, quantum: bool) -> list[Term]:
         t = self.next()  # int / qint
         if quantum:
             self.saw_quantum = True
@@ -319,25 +271,21 @@ class _Parser:
             names.append(self.expect("NAME").value)
         self.expect("]")
         scope = {}
-        bound = []
         for nm in names:
             if nm in RESERVED or any(nm in s for s in self.scopes) or nm in scope:
                 raise ParseError(f"integration variable {nm!r} shadows an "
                                  "existing binding or keyword", t.line, t.col)
-            v = dummy(self.dummy_counter)
+            scope[nm] = dummy(self.dummy_counter)
             self.dummy_counter += 1
-            scope[nm] = v
-            bound.append(v)
         self.scopes.append(scope)
         self.expect("(")
-        monos = self.parse_expr()
+        terms = self.parse_expr()
         self.expect(")")
         self.scopes.pop()
-        for m in monos:
-            m.dummies = m.dummies + bound
-        return monos
+        bound = tuple(scope.values())
+        return [Term(b.dummies + bound, b.coeff, b.factors, b.deltas) for b in terms]
 
-    def parse_derivative(self) -> list[_Mono]:
+    def parse_derivative(self) -> list[Term]:
         t = self.next()  # D
         self.expect("(")
         base = self.expect("NAME").value
@@ -348,14 +296,14 @@ class _Parser:
         var = self.parse_var()
         self.expect(")")
         if base in ("phi", "pi", "Phi", "Pi"):
-            return [self._field_mono(base, order, var)]
+            return [self._field_term(base, order, var)]
         try:
             SESSION.require_function(base)
         except DeclarationError as e:
             raise ParseError(str(e), t.line, t.col)
-        return [_Mono(functions=[NamedFunction(base, order, var)])]
+        return [make_term(1, functions=(NamedFunction(base, order, var),))]
 
-    def parse_delta(self) -> list[_Mono]:
+    def parse_delta(self) -> list[Term]:
         self.next()  # delta
         self.expect("(")
         left = self.parse_var()
@@ -368,41 +316,55 @@ class _Parser:
             self.next()
             order = self.parse_order()
         self.expect(")")
-        return [_Mono(deltas=[DeltaFactor(order, left, right)])]
+        return [make_term(1, deltas=(DeltaFactor(order, left, right),))]
 
 
-def _parse_monos(text: str):
+def _scaled(terms: list[Term], q) -> list[Term]:
+    return [Term(t.dummies, t.coeff.scale(q), t.factors, t.deltas) for t in terms]
+
+
+def _product(a: list[Term], b: list[Term], at: _Token) -> list[Term]:
+    """Every product of a term of `a` with a term of `b`, refused before it
+    is built when there would be more than EXPANSION_LIMIT of them."""
+    if len(a) * len(b) > EXPANSION_LIMIT:
+        raise ParseError(f"expanding this product would build {len(a) * len(b)} "
+                         f"terms, above the limit of {EXPANSION_LIMIT}",
+                         at.line, at.col)
+    return [concat(ta, tb) for ta in a for tb in b]
+
+
+def _rebase(t: Term) -> Term:
+    # scope labels are allocated across the whole source; a term carries
+    # local labels, so renumber its dummies 0.. in list order, then sort its
+    # functions by their new variables
+    t = relabel(t, {old: dummy(k) for k, old in enumerate(t.dummies)},
+                tuple(map(dummy, range(len(t.dummies)))))
+    c = t.coeff
+    return Term(t.dummies, Coefficient.make(c.scalar, c.h, c.i, c.m, c.divergent,
+                                            c.functions), t.factors, t.deltas)
+
+
+def _parse_terms(text: str) -> tuple[tuple[Term, ...], bool]:
     p = _Parser(text)
-    monos = p.parse_expr()
+    terms = p.parse_expr()
     t = p.peek()
     if t.type != "EOF":
         raise ParseError(f"trailing input starting at {t.value!r}", t.line, t.col)
     if p.saw_quantum and p.saw_classical:
         raise ParseError("cannot mix phi/pi with Phi/Pi in one expression", 1, 1)
-    return monos, p.saw_quantum
-
-
-def parse(text: str):
-    """Parse text into a Symbol or an OperatorExpression (auto-detected)."""
-    monos, quantum = _parse_monos(text)
-    terms = tuple(m.to_term() for m in monos)
-    if quantum:
-        from .quantum import OperatorExpression
-        return OperatorExpression(terms)
-    return Symbol(terms)
+    return tuple(map(_rebase, terms)), p.saw_quantum
 
 
 def parse_symbol(text: str) -> Symbol:
-    monos, quantum = _parse_monos(text)
+    terms, quantum = _parse_terms(text)
     if quantum:
         raise ParseError("operator syntax (qint/Phi/Pi) in a classical context", 1, 1)
-    return Symbol(tuple(m.to_term() for m in monos))
+    return Symbol(terms)
 
 
 def parse_operator(text: str):
     from .quantum import OperatorExpression
-    monos, _ = _parse_monos(text)
-    return OperatorExpression(tuple(m.to_term() for m in monos))
+    return OperatorExpression(_parse_terms(text)[0])
 
 
 # -- formatting ---------------------------------------------------------------

@@ -27,7 +27,6 @@ from .poisson import bracket
 from .session import SESSION
 from .terms import (
     ANCHOR,
-    Coefficient,
     DELTA_AT_ZERO,
     DeltaFactor,
     DivergentConstant,
@@ -47,7 +46,6 @@ from .terms import (
     phi,
     pi_,
     relabel,
-    shift_dummies,
     symbol,
 )
 from .variational import require_symbol
@@ -69,20 +67,14 @@ def operator(*terms: Term) -> OperatorExpression:
     return OperatorExpression(tuple(terms))
 
 
-def op_canonicalize(e: OperatorExpression,
-                    transfer: bool | None = None) -> OperatorExpression:
-    return OperatorExpression(
-        canonicalize_terms(e.terms, quantum=True, transfer=transfer))
+def op_canonicalize(e: OperatorExpression) -> OperatorExpression:
+    return OperatorExpression(canonicalize_terms(e.terms, quantum=True))
 
 
-def formal_scale(e, scalar=1, h=0, i=0, m=0):
-    """Multiply by scalar * h^h * i^i * m^m (negative powers allowed)."""
-    def fn(t):
-        c = t.coeff
-        coeff = Coefficient.make(c.scalar * Fraction(scalar), c.h + h,
-                                 c.i + i, c.m + m, c.divergent, c.functions)
-        return Term(t.dummies, coeff, t.factors, t.deltas)
-    return e.map_terms(fn)
+def formal_scale(e, scalar=1, h=0, i=0):
+    """Multiply by scalar * h^h * i^i (negative powers allowed)."""
+    return type(e)(tuple(Term(t.dummies, t.coeff.scale(scalar).times_formal(h, i),
+                              t.factors, t.deltas) for t in e.terms))
 
 
 def forget_order(e: OperatorExpression) -> Symbol:
@@ -251,11 +243,9 @@ def commutator(a: OperatorExpression, b: OperatorExpression,
         raise ValueError(f"unknown grouping {grouping!r}")
     out = []
     for ta in a.terms:
-        offset = max((v.index for v in ta.dummies), default=-1) + 1
-        for tb_raw in b.terms:
-            tb = shift_dummies(tb_raw, offset)
-            base = ta.coeff.mul(tb.coeff)
-            A, B = ta.factors, tb.factors
+        for tb in b.terms:
+            t = concat(ta, tb)
+            A, B = t.factors[:len(ta.factors)], t.factors[len(ta.factors):]
             for i, ai in enumerate(A):
                 for j, bj in enumerate(B):
                     if ai.field == bj.field:
@@ -267,10 +257,9 @@ def commutator(a: OperatorExpression, b: OperatorExpression,
                         word = A[:i] + B[:j] + B[j + 1:] + A[i + 1:]
                     else:
                         word = B[:j] + A[:i] + A[i + 1:] + B[j + 1:]
-                    coeff = base.scale(side * sign).times_formal(
+                    coeff = t.coeff.scale(side * sign).times_formal(
                         h=1, i=1, divergent=div)
-                    out.append(Term(ta.dummies + tb.dummies, coeff, word,
-                                    ta.deltas + tb.deltas + ds))
+                    out.append(Term(t.dummies, coeff, word, t.deltas + ds))
     res = OperatorExpression(
         canonicalize_terms(tuple(out), quantum=True, transfer=transfer))
     return ccr_reduce(res, transfer=transfer) if reduce else res

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import HamalgError
 from .terms import INT_DELTA_SQ, canonicalize, multiply, equals
-from .parser import parse_symbol, format_expression, to_json
+from .parser import parse_symbol, format_expression, to_json_dict
 from .poisson import bracket, check_algebra
 from .quantum import quantize, op_multiply, ccr_reduce, commutator, \
     classical_limit, formal_scale, leibniz_residual
@@ -37,7 +37,6 @@ class SuiteProfile:
     law_samples: int          # instances per algebraic law
     oracle_pairs: int         # symbol pairs checked against the lattice
     oracle_states: int        # random states per pair per grid
-    oracle_sizes: tuple       # lattice sizes, ascending
     quadratic_pairs: int      # pairs for the classical-limit check
     kg_sizes: tuple
     kg_times: tuple
@@ -47,18 +46,19 @@ class SuiteProfile:
 
 
 QUICK = SuiteProfile("quick", law_samples=25, oracle_pairs=6, oracle_states=2,
-                     oracle_sizes=(128, 256, 512), quadratic_pairs=8,
-                     kg_sizes=(64, 128), kg_times=(1.7, 5.0),
+                     quadratic_pairs=8, kg_sizes=(64, 128), kg_times=(1.7, 5.0),
                      roundtrip_samples=120, idempotence_samples=60,
                      quartic_fan=211)
 
 FULL = SuiteProfile("full", law_samples=100, oracle_pairs=20, oracle_states=3,
-                    oracle_sizes=(128, 256, 512), quadratic_pairs=20,
-                    kg_sizes=(64, 256), kg_times=(1.7, 10.0),
+                    quadratic_pairs=20, kg_sizes=(64, 256), kg_times=(1.7, 10.0),
                     roundtrip_samples=500, idempotence_samples=200,
                     quartic_fan=411)
 
 PROFILES = {"quick": QUICK, "full": FULL}
+
+#: lattice sizes of criterion 3, ascending, in both profiles
+ORACLE_SIZES = (128, 256, 512)
 
 # per-criterion runtime budgets, seconds
 TIME_LIMITS = {1: 60.0, 3: 120.0, 7: 30.0, 8: 60.0}
@@ -155,7 +155,7 @@ def criterion_3(profile: SuiteProfile, seed: int) -> CriterionResult:
     # separately by the lattice tests
     gen = RandomSymbolGenerator(seed + 2, max_deriv=1, max_factors=3)
     bind = default_binding()
-    configs = [LatticeConfig(n=n, length=8.0) for n in profile.oracle_sizes]
+    configs = [LatticeConfig(n=n, length=8.0) for n in ORACLE_SIZES]
     failures, rows = [], []
     for k in range(profile.oracle_pairs):
         a, b = gen.symbol(), gen.symbol()
@@ -293,7 +293,7 @@ def _det_payload(seed: int, count: int = 12) -> bytes:
     gen = RandomSymbolGenerator(seed)
     syms = [canonicalize(gen.symbol()) for _ in range(count)]
     doc = {"formatted": [format_expression(s) for s in syms],
-           "json": [json.loads(to_json(s)) for s in syms]}
+           "json": [to_json_dict(s) for s in syms]}
     return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
 
 

@@ -279,9 +279,6 @@ class Symbol:
             Term(t.dummies, t.coeff.scale(q), t.factors, t.deltas) for t in self.terms
         ))
 
-    def map_terms(self, fn) -> "Symbol":
-        return type(self)(tuple(fn(t) for t in self.terms))
-
 
 ZERO = Symbol(())
 

@@ -180,6 +180,12 @@ def test_parse_errors_exit_two_with_location():
     assert run().returncode == 2
 
 
+def test_division_by_zero_exits_two_with_location(capsys):
+    assert cli.main(["grade", "phi(u)/0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: division by zero (line 1, column 8)")
+
+
 def test_corrupted_canonicalizer_fails_the_suite(monkeypatch, capsys):
     """A broken rewrite engine must surface as exit 1 with counterexamples."""
     import hamalg._rewrite as rw

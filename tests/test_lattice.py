@@ -116,6 +116,19 @@ def test_kg_flow_is_symplectic():
             assert rep.defect < 1e-10
 
 
+@pytest.mark.parametrize("n", [64, 128, 256])
+def test_kg_flow_defect_matches_the_dense_form(n):
+    # the defect of M^T J M - J with J written out as a dense matrix
+    cfg = LatticeConfig(n=n, length=8.0)
+    eye, zero = np.eye(n), np.zeros((n, n))
+    j = np.block([[zero, cfg.delta * eye], [-cfg.delta * eye, zero]])
+    for m in (0.0, 1.0, 2.5):
+        for t in (1.7, 5.0, 10.0):
+            rep = kg_flow(cfg, m, t)
+            mat = rep.matrix
+            assert rep.defect == float(np.abs(mat.T @ j @ mat - j).max())
+
+
 def test_kg_energy_is_conserved():
     cfg = LatticeConfig(n=128, length=8.0)
     st = random_profile(np.random.default_rng(3)).realize(cfg)

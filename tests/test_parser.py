@@ -180,6 +180,20 @@ def test_power_of_an_integral_binds_fresh_dummies(k):
     assert format_expression(canonicalize(parse_symbol(f"({one})^{k}"))) == want
 
 
+def test_division_by_zero_is_a_parse_error_at_the_divisor():
+    with pytest.raises(ParseError) as err:
+        parse_symbol("phi(u)*\n  phi(v)/0")
+    assert "division by zero" in str(err.value)
+    assert (err.value.line, err.value.column) == (2, 10)
+
+
+def test_expansion_past_the_limit_is_refused_at_the_exponent():
+    with pytest.raises(ParseError) as err:
+        parse_symbol("(phi(u)+pi(u))^40")
+    assert "above the limit of 20000" in str(err.value)
+    assert (err.value.line, err.value.column) == (1, 16)
+
+
 if __name__ == "__main__":
     PARSE_CORPUS.parent.mkdir(exist_ok=True)
     PARSE_CORPUS.write_text("\n".join(parse_corpus_lines()) + "\n")
